@@ -247,12 +247,10 @@ fn bench_pipeline(records: &mut Vec<Record>) {
         black_box(nlidb.predict(black_box(&e.question), &e.table));
     });
     // The cost of execution guidance: the same end-to-end prediction
-    // with guidance off vs. on. The delta is the guide's verdict work —
-    // recovering and executing beam candidates against the table
-    // (memoized per sequence within one decode).
-    bench("decode/greedy_vs_guided_off", records, || {
-        black_box(nlidb.predict(black_box(&e.question), &e.table));
-    });
+    // with guidance on. Its delta over `pipeline/predict_end_to_end`
+    // (guidance off) is the guide's verdict work — recovering and
+    // executing beam candidates against the table (memoized per sequence
+    // within one decode).
     bench("decode/greedy_vs_guided_on", records, || {
         black_box(nlidb.predict_guided(black_box(&e.question), &e.table));
     });

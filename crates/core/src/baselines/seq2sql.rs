@@ -10,12 +10,12 @@
 
 use nlidb_data::{Example, SlotRole};
 use nlidb_neural::{BahdanauAttention, BiGru, Embedding, GruCell, Linear};
-use nlidb_tensor::optim::{clip_global_norm, Adam};
-use nlidb_tensor::{Graph, ParamStore, Tensor};
+use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
 
 use crate::config::ModelConfig;
+use crate::train::{train_series, Fit, FitSpec};
 use nlidb_sqlir::{Agg, CmpOp, Literal, Query};
 use nlidb_storage::Table;
 
@@ -183,69 +183,10 @@ impl Seq2Sql {
         Seq2Sql { store, vocab, emb, encoder, dec_cell, attn, d0_proj, cfg: cfg.clone() }
     }
 
-    /// Teacher-forced pointer loss for one example. Returns `None` when
-    /// the gold target cannot be built (unlocated value span).
-    fn example_loss(
-        &self,
-        g: &mut Graph,
-        e: &Example,
-    ) -> Option<nlidb_tensor::NodeId> {
-        let aug = augment(&e.question, &e.table);
-        let gold = gold_positions(e, &aug)?;
-        let ids: Vec<usize> = aug.tokens.iter().map(|t| self.vocab.id(t)).collect();
-        let x = self.emb.forward(g, &self.store, &ids);
-        let h = self.encoder.forward(g, &self.store, x);
-        let summary = self.encoder.final_summary(g, h);
-        let d0_lin = self.d0_proj.forward(g, &self.store, summary);
-        let mut d = g.tanh(d0_lin);
-        let mut beta = g.leaf(Tensor::zeros(1, self.encoder.out_dim()));
-        let mut prev_pos = kw_pos("select"); // BOS stand-in
-        let mut losses = Vec::with_capacity(gold.len());
-        for &tgt in &gold {
-            let prev_id = self.vocab.id(&aug.tokens[prev_pos]);
-            let prev_emb = self.emb.forward(g, &self.store, &[prev_id]);
-            let dec_in = g.hcat(prev_emb, beta);
-            d = self.dec_cell.step(g, &self.store, dec_in, d);
-            let att = self.attn.forward(g, &self.store, h, d);
-            beta = att.context;
-            let logits = g.transpose(att.scores); // [1, n] pointer logits
-            let lp = g.log_softmax_rows(logits);
-            losses.push(g.pick_nll(lp, vec![tgt]));
-            prev_pos = tgt;
-        }
-        let mut total = losses[0];
-        for &l in &losses[1..] {
-            total = g.add(total, l);
-        }
-        Some(g.scale(total, 1.0 / losses.len() as f32))
-    }
-
-    /// Trains on a split; returns final-epoch mean loss.
+    /// Trains on a split through the crate's one training loop
+    /// (`train::fit`), one step per example; returns final-epoch mean loss.
     pub fn train(&mut self, examples: &[Example], epochs: usize) -> f32 {
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut rng = Rng::seed_from_u64(self.cfg.seed ^ 0x5E06);
-        let mut order: Vec<usize> = (0..examples.len()).collect();
-        let mut last = f32::INFINITY;
-        for _ in 0..epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0;
-            let mut count = 0;
-            for &i in &order {
-                let mut g = Graph::new();
-                let Some(loss) = self.example_loss(&mut g, &examples[i]) else { continue };
-                total += g.value(loss).scalar();
-                count += 1;
-                g.backward(loss);
-                let mut grads = g.param_grads();
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-            }
-            last = total / (count as f32).max(1.0);
-        }
-        last
+        crate::train::fit_slice(self, examples, epochs)
     }
 
     /// Greedy pointer decoding followed by parse-back.
@@ -296,6 +237,51 @@ impl Seq2Sql {
         full.extend(out_tokens);
         full.push("</s>".to_string());
         parse_pointer_tokens(&full, table)
+    }
+}
+
+impl Fit for Seq2Sql {
+    type Item = Example;
+
+    fn fit_spec(&self) -> FitSpec {
+        FitSpec::per_example(&self.cfg, 0x5E06, train_series!("seq2sql"))
+    }
+
+    fn fit_store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    /// Teacher-forced pointer loss for one example. Returns `None` when
+    /// the gold target cannot be built (unlocated value span).
+    fn item_loss(&self, g: &mut Graph, e: &Example) -> Option<NodeId> {
+        let aug = augment(&e.question, &e.table);
+        let gold = gold_positions(e, &aug)?;
+        let ids: Vec<usize> = aug.tokens.iter().map(|t| self.vocab.id(t)).collect();
+        let x = self.emb.forward(g, &self.store, &ids);
+        let h = self.encoder.forward(g, &self.store, x);
+        let summary = self.encoder.final_summary(g, h);
+        let d0_lin = self.d0_proj.forward(g, &self.store, summary);
+        let mut d = g.tanh(d0_lin);
+        let mut beta = g.leaf(Tensor::zeros(1, self.encoder.out_dim()));
+        let mut prev_pos = kw_pos("select"); // BOS stand-in
+        let mut losses = Vec::with_capacity(gold.len());
+        for &tgt in &gold {
+            let prev_id = self.vocab.id(&aug.tokens[prev_pos]);
+            let prev_emb = self.emb.forward(g, &self.store, &[prev_id]);
+            let dec_in = g.hcat(prev_emb, beta);
+            d = self.dec_cell.step(g, &self.store, dec_in, d);
+            let att = self.attn.forward(g, &self.store, h, d);
+            beta = att.context;
+            let logits = g.transpose(att.scores); // [1, n] pointer logits
+            let lp = g.log_softmax_rows(logits);
+            losses.push(g.pick_nll(lp, vec![tgt]));
+            prev_pos = tgt;
+        }
+        let mut total = losses[0];
+        for &l in &losses[1..] {
+            total = g.add(total, l);
+        }
+        Some(g.scale(total, 1.0 / losses.len() as f32))
     }
 }
 
@@ -364,7 +350,7 @@ mod tests {
         let (mut model, ds) = setup();
         let first = {
             let mut g = Graph::new();
-            let l = model.example_loss(&mut g, &ds.train[0]).expect("target");
+            let l = model.item_loss(&mut g, &ds.train[0]).expect("target");
             g.value(l).scalar()
         };
         let last = model.train(&ds.train[..24], 3);

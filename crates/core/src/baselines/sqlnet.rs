@@ -11,12 +11,12 @@
 
 use nlidb_data::{Example, SlotRole};
 use nlidb_neural::{Activation, BahdanauAttention, BiGru, Embedding, Linear, Mlp};
-use nlidb_tensor::optim::{clip_global_norm, Adam};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
 
 use crate::config::ModelConfig;
+use crate::train::{train_series, Fit, FitSpec};
 use nlidb_sqlir::{Agg, CmpOp, Literal, Query};
 use nlidb_storage::Table;
 
@@ -237,36 +237,10 @@ impl SqlNet {
         g.scale(total, 1.0 / losses.len() as f32)
     }
 
-    /// Trains on a split; returns final-epoch mean loss.
+    /// Trains on a split through the crate's one training loop
+    /// (`train::fit`), one step per example; returns final-epoch mean loss.
     pub fn train(&mut self, examples: &[Example], epochs: usize) -> f32 {
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut rng = Rng::seed_from_u64(self.cfg.seed ^ 0x50C2);
-        let mut order: Vec<usize> = (0..examples.len()).collect();
-        let mut last = f32::INFINITY;
-        for _ in 0..epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0;
-            let mut count = 0usize;
-            for &i in &order {
-                let e = &examples[i];
-                if e.question.is_empty() {
-                    continue;
-                }
-                let mut g = Graph::new();
-                let loss = self.example_loss(&mut g, e);
-                total += g.value(loss).scalar();
-                count += 1;
-                g.backward(loss);
-                let mut grads = g.param_grads();
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-            }
-            last = total / count.max(1) as f32;
-        }
-        last
+        crate::train::fit_slice(self, examples, epochs)
     }
 
     /// Predicts a query for a question/table pair.
@@ -309,6 +283,27 @@ impl SqlNet {
             query.conds.push(nlidb_sqlir::Cond { col, op, value: Literal::parse(&text) });
         }
         Some(query)
+    }
+}
+
+impl Fit for SqlNet {
+    type Item = Example;
+
+    fn fit_spec(&self) -> FitSpec {
+        let series = match self.type_fn {
+            Some(_) => train_series!("typesql"),
+            None => train_series!("sqlnet"),
+        };
+        FitSpec::per_example(&self.cfg, 0x50C2, series)
+    }
+
+    fn fit_store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    /// Examples with an empty question are skipped.
+    fn item_loss(&self, g: &mut Graph, e: &Example) -> Option<NodeId> {
+        (!e.question.is_empty()).then(|| self.example_loss(g, e))
     }
 }
 

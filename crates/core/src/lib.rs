@@ -11,9 +11,10 @@
 //! - [`seq2seq`] — §V-B GRU encoder/decoder with Bahdanau attention and
 //!   the paper's additive copy mechanism; beam-search decoding.
 //! - [`transformer`] — the Table II transformer ablation.
-//! - [`train`] — example-level data parallelism for the training loops
-//!   (fixed sharding + ordered gradient reduction; thread-count
-//!   independent results).
+//! - [`train`] — the one training loop (`train::fit`) every model
+//!   trains through, with example-level data parallelism (fixed
+//!   sharding + ordered gradient reduction; thread-count independent
+//!   results).
 //! - [`pipeline`] — the [`pipeline::Nlidb`] facade: train / predict /
 //!   recover.
 //! - [`guide`] — execution-guided decoding: beam candidates are judged

@@ -19,12 +19,12 @@
 //! `dL/dE_char(w)` after `backward`.
 
 use nlidb_neural::{Activation, BahdanauAttention, CharCnn, Embedding, Lstm, LstmCell, Mlp};
-use nlidb_tensor::optim::{clip_global_norm, Adam};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{CharVocab, EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
 
 use crate::config::ModelConfig;
+use crate::train::{train_series, Fit, FitSpec};
 
 /// Maximum number of column words the head is sized for; longer column
 /// names are truncated (WikiSQL headers are short).
@@ -215,108 +215,30 @@ impl MentionClassifier {
         g.value(p).scalar()
     }
 
-    /// Trains on `(question, column, mentioned?)` triples. Returns the
-    /// final-epoch mean loss.
-    ///
-    /// Examples are processed in shuffled minibatches of
-    /// `cfg.batch_size`; within a batch, per-example forward/backward
-    /// passes fan out across the `nlidb_tensor::pool` workers and the
-    /// gradients are reduced in example-index order
-    /// ([`crate::train::batch_grads`]), so the trained parameters are
-    /// bitwise-independent of `NLIDB_THREADS`. `batch_size = 1` is the
-    /// classic per-example SGD walk.
-    pub fn train(
-        &mut self,
-        data: &[(Vec<String>, Vec<String>, bool)],
-        epochs: usize,
-    ) -> f32 {
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut rng = Rng::seed_from_u64(self.cfg.seed ^ 0x7EA1);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let batch_size = self.cfg.batch_size.max(1);
-        let mut last = f32::INFINITY;
-        for _ in 0..epochs {
-            let epoch_start = nlidb_trace::enabled().then(std::time::Instant::now);
-            // Fisher-Yates shuffle.
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0;
-            for batch in order.chunks(batch_size) {
-                let (loss_sum, mut grads) = crate::train::batch_grads(batch.len(), |bi| {
-                    let (q, c, label) = &data[batch[bi]];
-                    let mut g = Graph::new();
-                    let out = self.forward(&mut g, q, c);
-                    let target = Tensor::row_vector(&[if *label { 1.0 } else { 0.0 }]);
-                    let loss = g.bce_with_logits(out.logit, target);
-                    let value = g.value(loss).scalar();
-                    g.backward(loss);
-                    (value, g.param_grads())
-                });
-                total += loss_sum;
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-            }
-            last = total / data.len().max(1) as f32;
-            if let Some(t0) = epoch_start {
-                let secs = t0.elapsed().as_secs_f64();
-                nlidb_trace::series("train.mention.epoch_ms", secs * 1e3);
-                nlidb_trace::series(
-                    "train.mention.examples_per_sec",
-                    data.len() as f64 / secs.max(1e-9),
-                );
-                nlidb_trace::series("train.mention.loss", f64::from(last));
-            }
-        }
-        last
+    /// Trains on `(question, column, mentioned?)` triples through the
+    /// crate's one training loop (`train::fit`), in shuffled minibatches of
+    /// `cfg.batch_size` (`1` is the classic per-example SGD walk). Returns
+    /// the final-epoch mean loss.
+    pub fn train(&mut self, data: &[(Vec<String>, Vec<String>, bool)], epochs: usize) -> f32 {
+        crate::train::fit_slice(self, data, epochs)
+    }
+}
+
+impl Fit for MentionClassifier {
+    type Item = (Vec<String>, Vec<String>, bool);
+
+    fn fit_spec(&self) -> FitSpec {
+        FitSpec::minibatched(&self.cfg, 0x7EA1, train_series!("mention"))
     }
 
-    /// Out-of-core [`Self::train`]: pulls `(question, column, label)`
-    /// pairs shard by shard from `load` and walks them in the
-    /// deterministic [`crate::train::sharded_epoch`] order, so at most
-    /// one shard's pairs are resident. Any two loaders serving the same
-    /// shards drive byte-identical training.
-    pub fn train_streamed<L>(
-        &mut self,
-        num_shards: usize,
-        mut load: L,
-        epochs: usize,
-    ) -> Result<f32, nlidb_data::stream::StreamError>
-    where
-        L: FnMut(usize) -> Result<Vec<(Vec<String>, Vec<String>, bool)>, nlidb_data::stream::StreamError>,
-    {
-        let mut opt = Adam::new(self.cfg.lr);
-        let salted = self.cfg.seed ^ 0x7EA1;
-        let batch_size = self.cfg.batch_size.max(1);
-        let mut last = f32::INFINITY;
-        for epoch in 0..epochs {
-            let mut step = |batch: &[(Vec<String>, Vec<String>, bool)]| {
-                let (loss_sum, mut grads) = crate::train::batch_grads(batch.len(), |bi| {
-                    let (q, c, label) = &batch[bi];
-                    let mut g = Graph::new();
-                    let out = self.forward(&mut g, q, c);
-                    let target = Tensor::row_vector(&[if *label { 1.0 } else { 0.0 }]);
-                    let loss = g.bce_with_logits(out.logit, target);
-                    let value = g.value(loss).scalar();
-                    g.backward(loss);
-                    (value, g.param_grads())
-                });
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-                loss_sum
-            };
-            let (total, count) = crate::train::sharded_epoch(
-                num_shards,
-                salted,
-                epoch,
-                batch_size,
-                &mut load,
-                &mut step,
-            )?;
-            last = total / count.max(1) as f32;
-        }
-        Ok(last)
+    fn fit_store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn item_loss(&self, g: &mut Graph, (q, c, label): &Self::Item) -> Option<NodeId> {
+        let out = self.forward(g, q, c);
+        let target = Tensor::row_vector(&[if *label { 1.0 } else { 0.0 }]);
+        Some(g.bce_with_logits(out.logit, target))
     }
 }
 

@@ -16,15 +16,18 @@ pub mod matcher;
 pub mod resolve;
 pub mod value;
 
+use nlidb_data::Example;
 use nlidb_storage::{Table, TableStats};
+use nlidb_tensor::Rng;
 use nlidb_text::{EmbeddingSpace, Lexicon, Vocab};
 
 use crate::config::ModelConfig;
+use crate::train::Corpus;
 use adversarial::locate_mention;
 use classifier::{training_pairs, MentionClassifier};
 use matcher::{context_free_matches, ColumnCandidate, MatchSource, MatcherConfig};
 use resolve::resolve;
-use value::{content_matches_indexed, training_triples, ValueDetector, ValueIndex};
+use value::{content_matches_indexed, ValueDetector, ValueIndex};
 
 /// One detected mention slot, in question-appearance order.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,68 +92,41 @@ impl MentionDetector {
     /// Builds and trains the detector on a training split.
     pub fn train(
         cfg: &ModelConfig,
-        train: &[nlidb_data::Example],
+        train: &[Example],
         vocab: Vocab,
         space: &EmbeddingSpace,
         lexicon: Lexicon,
     ) -> Self {
-        let mut classifier = MentionClassifier::new(cfg, vocab, space);
-        let pairs = training_pairs(train);
-        classifier.train(&pairs, cfg.mention_epochs);
-        let mut value_detector = ValueDetector::new(cfg, space.clone());
-        let triples = training_triples(train, space, cfg.seed);
-        value_detector.train(&triples, cfg.mention_epochs.max(4));
-        MentionDetector {
-            classifier,
-            value_detector,
-            matcher_cfg: MatcherConfig::default(),
-            space: space.clone(),
-            lexicon,
-            cfg: cfg.clone(),
-        }
+        let Ok(detector) = Self::train_on(cfg, &mut &*train, vocab, space, lexicon);
+        detector
     }
 
-    /// Out-of-core [`Self::train`]: derives each model's training items
-    /// shard by shard from an [`ExampleSource`] — classifier pairs via
-    /// [`training_pairs`], value-detector triples via
-    /// [`value::training_triples_with_rng`] with a per-shard RNG stream
-    /// — so at most one shard of examples (plus its derived items) is
-    /// resident. Training from the disk reader is byte-identical to
-    /// training from the in-memory source over the same shards.
-    pub fn train_streamed<S: nlidb_data::stream::ExampleSource>(
+    /// [`Self::train`] on any [`Corpus`]: classifier pairs come from
+    /// [`training_pairs`], value-detector triples from
+    /// [`value::training_triples`] with the corpus's item RNG
+    /// (one for a materialized split, one per shard for an
+    /// [`ExampleSource`](nlidb_data::stream::ExampleSource), so at most
+    /// one shard of examples plus its derived items is resident).
+    /// Training from the disk reader is byte-identical to training from
+    /// the in-memory source over the same shards.
+    pub(crate) fn train_on<C: Corpus>(
         cfg: &ModelConfig,
-        src: &mut S,
+        corpus: &mut C,
         vocab: Vocab,
         space: &EmbeddingSpace,
         lexicon: Lexicon,
-    ) -> Result<Self, nlidb_data::stream::StreamError> {
-        use nlidb_tensor::Rng;
-        let num_shards = src.num_shards();
-        let mut classifier = MentionClassifier::new(cfg, vocab, space);
-        classifier.train_streamed(
-            num_shards,
-            |s| Ok(training_pairs(&src.load_shard(s)?)),
-            cfg.mention_epochs,
-        )?;
-        let mut value_detector = ValueDetector::new(cfg, space.clone());
-        let seed = cfg.seed;
-        value_detector.train_streamed(
-            num_shards,
-            |s| {
-                let shard = src.load_shard(s)?;
-                let mut rng = Rng::for_stream(seed ^ 0x7121, s as u64);
-                Ok(value::training_triples_with_rng(&shard, space, &mut rng))
-            },
+    ) -> Result<Self, C::Error> {
+        let mut d = Self::untrained(cfg, vocab, space, lexicon);
+        // Classifier pairs draw nothing from the item RNG, so its seed is moot.
+        corpus.train(&mut d.classifier, cfg.mention_epochs, 0, &|ex, _| training_pairs(ex))?;
+        let triples = |ex: &[Example], rng: &mut Rng| value::training_triples(ex, space, rng);
+        corpus.train(
+            &mut d.value_detector,
             cfg.mention_epochs.max(4),
+            cfg.seed ^ 0x7121,
+            &triples,
         )?;
-        Ok(MentionDetector {
-            classifier,
-            value_detector,
-            matcher_cfg: MatcherConfig::default(),
-            space: space.clone(),
-            lexicon,
-            cfg: cfg.clone(),
-        })
+        Ok(d)
     }
 
     /// Builds an untrained detector (for tests and warm starts).

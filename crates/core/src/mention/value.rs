@@ -10,12 +10,12 @@
 
 use nlidb_neural::{Activation, Mlp};
 use nlidb_storage::TableStats;
-use nlidb_tensor::optim::{clip_global_norm, Adam};
-use nlidb_tensor::{Graph, ParamStore, Tensor};
+use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{span_has_stop_word, EmbeddingSpace};
 use nlidb_tensor::Rng;
 
 use crate::config::ModelConfig;
+use crate::train::{train_series, Fit, FitSpec};
 
 /// Maximum value-span length in tokens.
 pub const MAX_VALUE_SPAN: usize = 4;
@@ -43,9 +43,7 @@ pub struct ValueDetector {
     mlp: Mlp,
     space: EmbeddingSpace,
     dim: usize,
-    seed: u64,
-    lr: f32,
-    clip: f32,
+    cfg: ModelConfig,
 }
 
 impl ValueDetector {
@@ -55,7 +53,7 @@ impl ValueDetector {
         let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x0DE7EC7);
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, "vd", &[2 * dim, 32, 1], Activation::Relu, &mut rng);
-        ValueDetector { store, mlp, space, dim, seed: cfg.seed, lr: cfg.lr, clip: cfg.clip }
+        ValueDetector { store, mlp, space, dim, cfg: cfg.clone() }
     }
 
     fn features(&self, s_c: &[f32], s_span: &[f32]) -> Tensor {
@@ -72,83 +70,23 @@ impl ValueDetector {
     /// Likelihood that `span_tokens` is a value of the column with
     /// centroid `s_c`.
     pub fn score(&self, span_tokens: &[String], s_c: &[f32]) -> f32 {
-        let s_span = self.space.phrase_vector(span_tokens);
         let mut g = Graph::new();
-        let x = g.leaf(self.features(s_c, &s_span));
-        let logit = self.mlp.forward(&mut g, &self.store, x);
+        let logit = self.logit(&mut g, span_tokens, s_c);
         let p = g.sigmoid(logit);
         g.value(p).scalar()
     }
 
-    /// Trains on `(span tokens, column centroid, is-value?)` triples.
-    pub fn train(&mut self, data: &[(Vec<String>, Vec<f32>, bool)], epochs: usize) -> f32 {
-        let mut opt = Adam::new(self.lr);
-        let mut rng = Rng::seed_from_u64(self.seed ^ 0xF00D);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut last = f32::INFINITY;
-        for _ in 0..epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0;
-            for &i in &order {
-                let (span, s_c, label) = &data[i];
-                let s_span = self.space.phrase_vector(span);
-                let mut g = Graph::new();
-                let x = g.leaf(self.features(s_c, &s_span));
-                let logit = self.mlp.forward(&mut g, &self.store, x);
-                let target = if *label { 1.0 } else { 0.0 };
-                let loss = g.bce_with_logits(logit, Tensor::row_vector(&[target]));
-                total += g.value(loss).scalar();
-                g.backward(loss);
-                let mut grads = g.param_grads();
-                clip_global_norm(&mut grads, self.clip);
-                opt.step(&mut self.store, &grads);
-            }
-            last = total / data.len().max(1) as f32;
-        }
-        last
+    fn logit(&self, g: &mut Graph, span_tokens: &[String], s_c: &[f32]) -> NodeId {
+        let s_span = self.space.phrase_vector(span_tokens);
+        let x = g.leaf(self.features(s_c, &s_span));
+        self.mlp.forward(g, &self.store, x)
     }
 
-    /// Out-of-core [`Self::train`]: pulls `(span, centroid, label)`
-    /// triples shard by shard from `load` and walks them per-example in
-    /// the deterministic [`crate::train::sharded_epoch`] order (the
-    /// value detector trains with per-example updates). Any two loaders
-    /// serving the same shards drive byte-identical training.
-    pub fn train_streamed<L>(
-        &mut self,
-        num_shards: usize,
-        mut load: L,
-        epochs: usize,
-    ) -> Result<f32, nlidb_data::stream::StreamError>
-    where
-        L: FnMut(usize) -> Result<Vec<(Vec<String>, Vec<f32>, bool)>, nlidb_data::stream::StreamError>,
-    {
-        let mut opt = Adam::new(self.lr);
-        let salted = self.seed ^ 0xF00D;
-        let mut last = f32::INFINITY;
-        for epoch in 0..epochs {
-            let mut step = |batch: &[(Vec<String>, Vec<f32>, bool)]| {
-                let (span, s_c, label) = &batch[0];
-                let s_span = self.space.phrase_vector(span);
-                let mut g = Graph::new();
-                let x = g.leaf(self.features(s_c, &s_span));
-                let logit = self.mlp.forward(&mut g, &self.store, x);
-                let target = if *label { 1.0 } else { 0.0 };
-                let loss = g.bce_with_logits(logit, Tensor::row_vector(&[target]));
-                let value = g.value(loss).scalar();
-                g.backward(loss);
-                let mut grads = g.param_grads();
-                clip_global_norm(&mut grads, self.clip);
-                opt.step(&mut self.store, &grads);
-                value
-            };
-            let (total, count) =
-                crate::train::sharded_epoch(num_shards, salted, epoch, 1, &mut load, &mut step)?;
-            last = total / count.max(1) as f32;
-        }
-        Ok(last)
+    /// Trains on `(span tokens, column centroid, is-value?)` triples
+    /// through the crate's one training loop (`train::fit`), one step per
+    /// triple. Returns the final-epoch mean loss.
+    pub fn train(&mut self, data: &[(Vec<String>, Vec<f32>, bool)], epochs: usize) -> f32 {
+        crate::train::fit_slice(self, data, epochs)
     }
 
     /// Detects value mentions in a question against a table's statistics:
@@ -204,6 +142,24 @@ impl ValueDetector {
         }
         chosen.sort_by_key(|c| c.span.0);
         chosen
+    }
+}
+
+impl Fit for ValueDetector {
+    type Item = (Vec<String>, Vec<f32>, bool);
+
+    fn fit_spec(&self) -> FitSpec {
+        FitSpec::per_example(&self.cfg, 0xF00D, train_series!("value"))
+    }
+
+    fn fit_store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn item_loss(&self, g: &mut Graph, (span, s_c, label): &Self::Item) -> Option<NodeId> {
+        let logit = self.logit(g, span, s_c);
+        let target = if *label { 1.0 } else { 0.0 };
+        Some(g.bce_with_logits(logit, Tensor::row_vector(&[target])))
     }
 }
 
@@ -376,19 +332,11 @@ fn scan_content_matches(question: &[String], table: &nlidb_storage::Table) -> Ve
 
 /// Builds value-detector training triples from a dataset: gold value spans
 /// are positives for their column and negatives for a random other column;
-/// random stop-word-free non-value spans are negatives.
+/// random stop-word-free non-value spans are negatives. Training draws
+/// from `seed ^ 0x7121`: one RNG for a materialized split, one per shard
+/// for a stream, so each shard's negatives are reproducible in isolation
+/// (see `train::Corpus`).
 pub fn training_triples(
-    ds: &[nlidb_data::Example],
-    space: &EmbeddingSpace,
-    seed: u64,
-) -> Vec<(Vec<String>, Vec<f32>, bool)> {
-    training_triples_with_rng(ds, space, &mut Rng::seed_from_u64(seed ^ 0x7121))
-}
-
-/// [`training_triples`] with a caller-supplied RNG — the streaming path
-/// derives one RNG per shard (`Rng::for_stream(seed ^ 0x7121, shard)`)
-/// so each shard's negative draws are reproducible in isolation.
-pub fn training_triples_with_rng(
     ds: &[nlidb_data::Example],
     space: &EmbeddingSpace,
     rng: &mut Rng,
@@ -456,7 +404,7 @@ mod tests {
     #[test]
     fn training_triples_have_both_labels() {
         let (_, ds, space) = setup();
-        let triples = training_triples(&ds.train, &space, 1);
+        let triples = training_triples(&ds.train, &space, &mut Rng::seed_from_u64(1 ^ 0x7121));
         assert!(triples.iter().any(|t| t.2));
         assert!(triples.iter().any(|t| !t.2));
         // Positives must never contain stop words (they come from gold
@@ -471,7 +419,7 @@ mod tests {
     #[test]
     fn training_converges_and_detects_gold_values() {
         let (mut det, ds, space) = setup();
-        let triples = training_triples(&ds.train, &space, 2);
+        let triples = training_triples(&ds.train, &space, &mut Rng::seed_from_u64(2 ^ 0x7121));
         let loss = det.train(&triples, 6);
         assert!(loss < 0.55, "value detector failed to train: {loss}");
 
@@ -501,7 +449,7 @@ mod tests {
         // Train, then present a value that does NOT occur in the table:
         // detection must still work because only statistics are used.
         let (mut det, ds, space) = setup();
-        let triples = training_triples(&ds.train, &space, 3);
+        let triples = training_triples(&ds.train, &space, &mut Rng::seed_from_u64(3 ^ 0x7121));
         det.train(&triples, 6);
         // Build a question with a fresh person name against a table whose
         // entity column holds person names.
@@ -529,7 +477,7 @@ mod tests {
     #[test]
     fn detect_returns_non_overlapping_sorted_spans() {
         let (mut det, ds, space) = setup();
-        let triples = training_triples(&ds.train, &space, 4);
+        let triples = training_triples(&ds.train, &space, &mut Rng::seed_from_u64(4 ^ 0x7121));
         det.train(&triples, 3);
         let e = &ds.dev[0];
         let stats = TableStats::compute(&e.table, &space);

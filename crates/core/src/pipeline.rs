@@ -6,10 +6,12 @@
 //! and domains never seen in training, which is the transfer-learnability
 //! claim under test.
 
+use nlidb_data::stream::{ExampleSource, StreamError};
 use nlidb_data::{Dataset, Example};
 use nlidb_json::{FromJson, Json, JsonError, ToJson};
 use nlidb_sqlir::{recover, AnnotatedSql, AnnotationMap, Query};
 use nlidb_storage::Table;
+use nlidb_tensor::Rng;
 use nlidb_text::{EmbeddingSpace, Lexicon, Vocab};
 
 use crate::annotate::{annotate, annotate_gold, gold_target, AnnotateConfig, Annotation};
@@ -17,8 +19,9 @@ use crate::config::ModelConfig;
 use crate::guide::{ExecutionGuide, GuideVerdict};
 use crate::mention::{DetectContext, MentionDetector};
 use crate::seq2seq::{Seq2Seq, Seq2SeqItem};
+use crate::train::Corpus;
 use crate::transformer::TransformerSeq2Seq;
-use crate::vocab::{add_examples, build_input_vocab, input_vocab_symbols, OutVocab};
+use crate::vocab::{add_examples, input_vocab_symbols, OutVocab};
 
 /// Which sequence model translates `q^a -> s^a`.
 pub enum Translator {
@@ -113,28 +116,8 @@ impl Nlidb {
         space: EmbeddingSpace,
         lexicon: Lexicon,
     ) -> Nlidb {
-        let cfg = &opts.model;
-        let in_vocab = build_input_vocab(ds, cfg);
-        let out_vocab = OutVocab::new(cfg);
-        let detector = {
-            let _t = nlidb_trace::span("pipeline.train.mention");
-            MentionDetector::train(cfg, &ds.train, in_vocab.clone(), &space, lexicon)
-        };
-        let items = training_items(&ds.train, &opts, &in_vocab, &out_vocab);
-        let _t = nlidb_trace::span("pipeline.train.translator");
-        let translator = match opts.use_transformer {
-            false => {
-                let mut m = Seq2Seq::new(cfg, &in_vocab, out_vocab.clone(), &space, opts.copy);
-                m.train(&items, cfg.epochs);
-                Translator::Gru(m)
-            }
-            true => {
-                let mut m = TransformerSeq2Seq::new(cfg, &in_vocab, out_vocab.clone(), &space);
-                m.train(&items, cfg.epochs);
-                Translator::Transformer(m)
-            }
-        };
-        Nlidb { detector, translator, in_vocab, out_vocab, opts }
+        let Ok(nlidb) = Self::train_on(ds.train.as_slice(), opts, space, lexicon);
+        nlidb
     }
 
     /// Out-of-core [`Nlidb::train`]: consumes the training split as an
@@ -147,66 +130,45 @@ impl Nlidb {
     /// vocabulary pass visits shards in index order, every item-deriving
     /// RNG is a per-shard stream, and the epoch walk is the
     /// deterministic [`crate::train::sharded_epoch`] order.
-    pub fn train_streamed<S: nlidb_data::stream::ExampleSource>(
+    pub fn train_streamed<S: ExampleSource>(
         src: &mut S,
         opts: NlidbOptions,
-    ) -> Result<Nlidb, nlidb_data::stream::StreamError> {
+    ) -> Result<Nlidb, StreamError> {
         let space = EmbeddingSpace::with_builtin_lexicon(opts.model.word_dim.max(8), 77);
-        Self::train_streamed_with_space(src, opts, space, Lexicon::builtin())
+        Self::train_on(src, opts, space, Lexicon::builtin())
     }
 
-    /// [`Self::train_streamed`] with an explicit embedding space and
-    /// lexicon.
-    pub fn train_streamed_with_space<S: nlidb_data::stream::ExampleSource>(
-        src: &mut S,
+    /// The one training body behind [`Self::train_with_space`] and
+    /// [`Self::train_streamed`]: the input vocabulary (the corpus's
+    /// examples in order, so a shard-by-shard pass adds the same tokens
+    /// as one over the materialized split), then the mention detector,
+    /// then the translator on [`training_items`].
+    fn train_on<C: Corpus>(
+        mut corpus: C,
         opts: NlidbOptions,
         space: EmbeddingSpace,
         lexicon: Lexicon,
-    ) -> Result<Nlidb, nlidb_data::stream::StreamError> {
-        use nlidb_tensor::Rng;
+    ) -> Result<Nlidb, C::Error> {
         let cfg = &opts.model;
-        // Pass 1: the input vocabulary, shard by shard in index order —
-        // token-for-token the same additions a materialized pass makes.
         let mut in_vocab = input_vocab_symbols(cfg);
-        for s in 0..src.num_shards() {
-            let shard = src.load_shard(s)?;
-            add_examples(&mut in_vocab, &shard);
-        }
+        corpus.visit(&mut |ex| add_examples(&mut in_vocab, ex))?;
         let out_vocab = OutVocab::new(cfg);
         let detector = {
             let _t = nlidb_trace::span("pipeline.train.mention");
-            MentionDetector::train_streamed(cfg, src, in_vocab.clone(), &space, lexicon)?
+            MentionDetector::train_on(cfg, &mut corpus, in_vocab.clone(), &space, lexicon)?
         };
         let _t = nlidb_trace::span("pipeline.train.translator");
-        let num_shards = src.num_shards();
-        let item_seed = opts.model.seed ^ 0xD20F;
-        let translator = match opts.use_transformer {
-            false => {
-                let mut m = Seq2Seq::new(cfg, &in_vocab, out_vocab.clone(), &space, opts.copy);
-                m.train_streamed(
-                    num_shards,
-                    |s| {
-                        let shard = src.load_shard(s)?;
-                        let mut rng = Rng::for_stream(item_seed, s as u64);
-                        Ok(training_items_with_rng(&shard, &opts, &in_vocab, &out_vocab, &mut rng))
-                    },
-                    cfg.epochs,
-                )?;
-                Translator::Gru(m)
-            }
-            true => {
-                let mut m = TransformerSeq2Seq::new(cfg, &in_vocab, out_vocab.clone(), &space);
-                m.train_streamed(
-                    num_shards,
-                    |s| {
-                        let shard = src.load_shard(s)?;
-                        let mut rng = Rng::for_stream(item_seed, s as u64);
-                        Ok(training_items_with_rng(&shard, &opts, &in_vocab, &out_vocab, &mut rng))
-                    },
-                    cfg.epochs,
-                )?;
-                Translator::Transformer(m)
-            }
+        let items =
+            |ex: &[Example], rng: &mut Rng| training_items(ex, &opts, &in_vocab, &out_vocab, rng);
+        let item_seed = cfg.seed ^ 0xD20F;
+        let translator = if opts.use_transformer {
+            let mut m = TransformerSeq2Seq::new(cfg, &in_vocab, out_vocab.clone(), &space);
+            corpus.train(&mut m, cfg.epochs, item_seed, &items)?;
+            Translator::Transformer(m)
+        } else {
+            let mut m = Seq2Seq::new(cfg, &in_vocab, out_vocab.clone(), &space, opts.copy);
+            corpus.train(&mut m, cfg.epochs, item_seed, &items)?;
+            Translator::Gru(m)
         };
         Ok(Nlidb { detector, translator, in_vocab, out_vocab, opts })
     }
@@ -488,27 +450,15 @@ fn fallback_query(map: &AnnotationMap) -> Option<Query> {
 /// `g_k`, §V-A-2) or a condition slot's column span is hidden (forcing the
 /// Figure 1(d) pattern where `c_i` appears in the output but not in the
 /// input). This matches the test-time distribution, where mention
-/// detection occasionally misses a mention.
+/// detection occasionally misses a mention. Training draws from
+/// `seed ^ 0xD20F`: one RNG for a materialized split, one per shard for a
+/// stream (see `train::Corpus`).
 pub fn training_items(
     examples: &[Example],
     opts: &NlidbOptions,
     in_vocab: &Vocab,
     out_vocab: &OutVocab,
-) -> Vec<Seq2SeqItem> {
-    use nlidb_tensor::Rng;
-    let mut rng = Rng::seed_from_u64(opts.model.seed ^ 0xD20F);
-    training_items_with_rng(examples, opts, in_vocab, out_vocab, &mut rng)
-}
-
-/// [`training_items`] with a caller-supplied RNG — the streaming path
-/// derives one RNG per shard (`Rng::for_stream(seed ^ 0xD20F, shard)`)
-/// so each shard's slot-dropout draws are reproducible in isolation.
-pub fn training_items_with_rng(
-    examples: &[Example],
-    opts: &NlidbOptions,
-    in_vocab: &Vocab,
-    out_vocab: &OutVocab,
-    rng: &mut nlidb_tensor::Rng,
+    rng: &mut Rng,
 ) -> Vec<Seq2SeqItem> {
     let mut items = Vec::with_capacity(examples.len());
     for e in examples {
@@ -527,7 +477,7 @@ fn training_item_for(
     opts: &NlidbOptions,
     in_vocab: &Vocab,
     out_vocab: &OutVocab,
-    rng: &mut nlidb_tensor::Rng,
+    rng: &mut Rng,
 ) -> Option<Seq2SeqItem> {
     let mut slots = crate::annotate::gold_slots(e);
     if opts.annotate.header_encoding && rng.gen::<f32>() < 0.22 {
@@ -566,6 +516,7 @@ fn training_item_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vocab::build_input_vocab;
     use nlidb_data::wikisql::{generate, WikiSqlConfig};
     use nlidb_sqlir::query_match;
 
@@ -579,7 +530,8 @@ mod tests {
         let opts = tiny_opts();
         let in_vocab = build_input_vocab(&ds, &opts.model);
         let out_vocab = OutVocab::new(&opts.model);
-        let items = training_items(&ds.train, &opts, &in_vocab, &out_vocab);
+        let mut rng = Rng::seed_from_u64(opts.model.seed ^ 0xD20F);
+        let items = training_items(&ds.train, &opts, &in_vocab, &out_vocab, &mut rng);
         assert!(items.len() >= ds.train.len() * 9 / 10, "too many skipped");
         for item in &items {
             assert_eq!(item.src.len(), item.copy.len());

@@ -14,12 +14,12 @@
 //! favor source placeholders over memorized tokens.
 
 use nlidb_neural::{BahdanauAttention, BiGru, Embedding, GruCell, Linear};
-use nlidb_tensor::optim::{clip_global_norm, Adam};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
 
 use crate::config::ModelConfig;
+use crate::train::{train_series, Fit, FitSpec};
 use crate::vocab::OutVocab;
 
 /// Maximum decoded target length (annotated SQL is short).
@@ -208,95 +208,12 @@ impl Seq2Seq {
         g.scale(total, 1.0 / item.tgt.len() as f32)
     }
 
-    /// Trains with Adam + global-norm clipping. Returns final-epoch loss.
-    ///
-    /// Examples are processed in shuffled minibatches of
-    /// `cfg.batch_size`; per-example forward/backward passes within a
-    /// batch fan out across the `nlidb_tensor::pool` workers and reduce
-    /// in example-index order ([`crate::train::batch_grads`]), so the
-    /// trained parameters are bitwise-independent of `NLIDB_THREADS`.
-    /// `batch_size = 1` is the classic per-example SGD walk.
+    /// Trains with Adam + global-norm clipping through the crate's one
+    /// training loop (`train::fit`), in shuffled minibatches of
+    /// `cfg.batch_size` (`1` is the classic per-example SGD walk). Returns
+    /// the final-epoch mean loss.
     pub fn train(&mut self, data: &[Seq2SeqItem], epochs: usize) -> f32 {
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut rng = Rng::seed_from_u64(self.cfg.seed ^ 0x7EAC4);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let batch_size = self.cfg.batch_size.max(1);
-        let mut last = f32::INFINITY;
-        for _ in 0..epochs {
-            let epoch_start = nlidb_trace::enabled().then(std::time::Instant::now);
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0;
-            for batch in order.chunks(batch_size) {
-                let (loss_sum, mut grads) = crate::train::batch_grads(batch.len(), |bi| {
-                    let mut g = Graph::new();
-                    let loss = self.forward_loss(&mut g, &data[batch[bi]]);
-                    let value = g.value(loss).scalar();
-                    g.backward(loss);
-                    (value, g.param_grads())
-                });
-                total += loss_sum;
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-            }
-            last = total / data.len().max(1) as f32;
-            if let Some(t0) = epoch_start {
-                let secs = t0.elapsed().as_secs_f64();
-                nlidb_trace::series("train.seq2seq.epoch_ms", secs * 1e3);
-                nlidb_trace::series(
-                    "train.seq2seq.examples_per_sec",
-                    data.len() as f64 / secs.max(1e-9),
-                );
-                nlidb_trace::series("train.seq2seq.loss", f64::from(last));
-            }
-        }
-        last
-    }
-
-    /// Out-of-core [`Self::train`]: pulls [`Seq2SeqItem`]s shard by
-    /// shard from `load` and walks them in the deterministic
-    /// [`crate::train::sharded_epoch`] order — same minibatching and
-    /// optimizer steps, but at most one shard's items resident. Any two
-    /// loaders serving the same shards drive byte-identical training.
-    pub fn train_streamed<L>(
-        &mut self,
-        num_shards: usize,
-        mut load: L,
-        epochs: usize,
-    ) -> Result<f32, nlidb_data::stream::StreamError>
-    where
-        L: FnMut(usize) -> Result<Vec<Seq2SeqItem>, nlidb_data::stream::StreamError>,
-    {
-        let mut opt = Adam::new(self.cfg.lr);
-        let salted = self.cfg.seed ^ 0x7EAC4;
-        let batch_size = self.cfg.batch_size.max(1);
-        let mut last = f32::INFINITY;
-        for epoch in 0..epochs {
-            let mut step = |batch: &[Seq2SeqItem]| {
-                let (loss_sum, mut grads) = crate::train::batch_grads(batch.len(), |bi| {
-                    let mut g = Graph::new();
-                    let loss = self.forward_loss(&mut g, &batch[bi]);
-                    let value = g.value(loss).scalar();
-                    g.backward(loss);
-                    (value, g.param_grads())
-                });
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-                loss_sum
-            };
-            let (total, count) = crate::train::sharded_epoch(
-                num_shards,
-                salted,
-                epoch,
-                batch_size,
-                &mut load,
-                &mut step,
-            )?;
-            last = total / count.max(1) as f32;
-        }
-        Ok(last)
+        crate::train::fit_slice(self, data, epochs)
     }
 
     /// Encodes a source for inference, returning `(H, d0, β0)` values.
@@ -514,6 +431,22 @@ impl Seq2Seq {
         }
         beams.sort_by(|a, b| b.logp.total_cmp(&a.logp));
         beams.into_iter().map(|b| b.seq).collect()
+    }
+}
+
+impl Fit for Seq2Seq {
+    type Item = Seq2SeqItem;
+
+    fn fit_spec(&self) -> FitSpec {
+        FitSpec::minibatched(&self.cfg, 0x7EAC4, train_series!("seq2seq"))
+    }
+
+    fn fit_store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn item_loss(&self, g: &mut Graph, item: &Seq2SeqItem) -> Option<NodeId> {
+        Some(self.forward_loss(g, item))
     }
 }
 

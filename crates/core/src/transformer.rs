@@ -11,13 +11,13 @@
 //! attention, two encoder/decoder layers, residual connections.
 
 use nlidb_neural::{Embedding, Linear};
-use nlidb_tensor::optim::{clip_global_norm, Adam};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
 
 use crate::config::ModelConfig;
 use crate::seq2seq::{Seq2SeqItem, MAX_DECODE_LEN};
+use crate::train::{train_series, Fit, FitSpec};
 use crate::vocab::OutVocab;
 
 /// One attention block's projections.
@@ -218,76 +218,11 @@ impl TransformerSeq2Seq {
         g.pick_nll(logp, item.tgt.clone())
     }
 
-    /// Trains with Adam + clipping. Returns final-epoch loss.
+    /// Trains with Adam + clipping through the crate's one training loop
+    /// (`train::fit`), one step per item whatever `cfg.batch_size` says.
+    /// Returns the final-epoch mean loss.
     pub fn train(&mut self, data: &[Seq2SeqItem], epochs: usize) -> f32 {
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut rng = Rng::seed_from_u64(self.cfg.seed ^ 0x7F7F);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut last = f32::INFINITY;
-        for _ in 0..epochs {
-            let epoch_start = nlidb_trace::enabled().then(std::time::Instant::now);
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0;
-            for &i in &order {
-                let mut g = Graph::new();
-                let loss = self.forward_loss(&mut g, &data[i]);
-                total += g.value(loss).scalar();
-                g.backward(loss);
-                let mut grads = g.param_grads();
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-            }
-            last = total / data.len().max(1) as f32;
-            if let Some(t0) = epoch_start {
-                let secs = t0.elapsed().as_secs_f64();
-                nlidb_trace::series("train.transformer.epoch_ms", secs * 1e3);
-                nlidb_trace::series(
-                    "train.transformer.examples_per_sec",
-                    data.len() as f64 / secs.max(1e-9),
-                );
-                nlidb_trace::series("train.transformer.loss", f64::from(last));
-            }
-        }
-        last
-    }
-
-    /// Out-of-core [`Self::train`]: pulls items shard by shard from
-    /// `load` and walks them per-example in the deterministic
-    /// [`crate::train::sharded_epoch`] order (the transformer trains
-    /// with per-example updates, so the stream batch size is 1). Any
-    /// two loaders serving the same shards drive byte-identical
-    /// training.
-    pub fn train_streamed<L>(
-        &mut self,
-        num_shards: usize,
-        mut load: L,
-        epochs: usize,
-    ) -> Result<f32, nlidb_data::stream::StreamError>
-    where
-        L: FnMut(usize) -> Result<Vec<Seq2SeqItem>, nlidb_data::stream::StreamError>,
-    {
-        let mut opt = Adam::new(self.cfg.lr);
-        let salted = self.cfg.seed ^ 0x7F7F;
-        let mut last = f32::INFINITY;
-        for epoch in 0..epochs {
-            let mut step = |batch: &[Seq2SeqItem]| {
-                let mut g = Graph::new();
-                let loss = self.forward_loss(&mut g, &batch[0]);
-                let value = g.value(loss).scalar();
-                g.backward(loss);
-                let mut grads = g.param_grads();
-                clip_global_norm(&mut grads, self.cfg.clip);
-                opt.step(&mut self.store, &grads);
-                value
-            };
-            let (total, count) =
-                crate::train::sharded_epoch(num_shards, salted, epoch, 1, &mut load, &mut step)?;
-            last = total / count.max(1) as f32;
-        }
-        Ok(last)
+        crate::train::fit_slice(self, data, epochs)
     }
 
     /// Greedy decoding (re-runs the decoder per step). The copy alignment
@@ -311,6 +246,22 @@ impl TransformerSeq2Seq {
             seq.push(next);
         }
         seq
+    }
+}
+
+impl Fit for TransformerSeq2Seq {
+    type Item = Seq2SeqItem;
+
+    fn fit_spec(&self) -> FitSpec {
+        FitSpec::per_example(&self.cfg, 0x7F7F, train_series!("transformer"))
+    }
+
+    fn fit_store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn item_loss(&self, g: &mut Graph, item: &Seq2SeqItem) -> Option<NodeId> {
+        Some(self.forward_loss(g, item))
     }
 }
 

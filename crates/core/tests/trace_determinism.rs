@@ -10,7 +10,9 @@
 //! series).
 
 use nlidb_core::mention::classifier::MentionClassifier;
-use nlidb_core::ModelConfig;
+use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
+use nlidb_data::stream::InMemorySource;
+use nlidb_data::{CorpusPlan, ShardedCorpusConfig, Split};
 use nlidb_json::Json;
 use nlidb_text::{tokenize, EmbeddingSpace};
 
@@ -106,5 +108,36 @@ fn disabled_tracing_records_nothing_during_training() {
             panic!("missing section {section}");
         };
         assert!(entries.is_empty(), "{section} recorded entries while disabled");
+    }
+}
+
+#[test]
+fn out_of_core_training_records_per_epoch_series() {
+    let _guard = trace_lock();
+    let model = ModelConfig::tiny();
+    let epochs = [
+        ("train.mention.loss", model.mention_epochs),
+        ("train.value.loss", model.mention_epochs.max(4)),
+        ("train.seq2seq.loss", model.epochs),
+    ];
+    let mut cfg = ShardedCorpusConfig::tiny(64);
+    cfg.base.train_tables = 3;
+    cfg.base.questions_per_table = 4;
+    let plan = CorpusPlan::compile(cfg);
+    let mut src = InMemorySource::from_plan(&plan, Split::Train);
+
+    nlidb_trace::reset();
+    nlidb_trace::set_enabled(true);
+    Nlidb::train_streamed(&mut src, NlidbOptions { model, ..NlidbOptions::default() }).unwrap();
+    let snap = nlidb_trace::snapshot("streamed");
+    nlidb_trace::set_enabled(false);
+    nlidb_trace::reset();
+
+    let series = snap.get("series").expect("series section");
+    for (name, n) in epochs {
+        let Some(Json::Arr(points)) = series.get(name) else {
+            panic!("streamed training recorded no {name} series");
+        };
+        assert_eq!(points.len(), n, "{name}: one point per epoch expected");
     }
 }

@@ -400,9 +400,13 @@ fn lossy_cast_fixtures() {
 
 #[test]
 fn committed_report_parses_with_promised_schema() {
-    let path = root().join(nlidb_lint::report::REPORT_PATH);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed {}: {e}", path.display()));
+    // The report is a generated artifact (`--format=json` rewrites it on
+    // every run), so render it from the current tree exactly as the binary
+    // does and check what a consumer would parse.
+    let files = nlidb_lint::workspace_sources(root());
+    let diags = nlidb_lint::run_workspace(root());
+    let baseline = nlidb_lint::report::load_baseline(root());
+    let text = nlidb_lint::report::report(&diags, files.len(), &baseline).pretty();
     let doc = nlidb_json::Json::parse(&text).expect("lint report must be valid JSON");
     assert_eq!(
         doc.get("schema").and_then(nlidb_json::Json::as_str),
