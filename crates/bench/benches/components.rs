@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use nlidb_core::mention::adversarial::influence;
 use nlidb_core::mention::classifier::{training_pairs, MentionClassifier};
-use nlidb_core::serve::{ServeEngine, ServeOptions, ServeRequest};
+use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
 use nlidb_core::vocab::build_input_vocab;
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::stream::{write_corpus, CorpusReader};
@@ -277,14 +277,14 @@ fn bench_serve(records: &mut Vec<Record>) {
         })
         .collect();
     bench("serve/batch_1_cold", records, || {
-        let mut engine = ServeEngine::new(&nlidb, ServeOptions { cache_capacity: 0 });
+        let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(0));
         black_box(engine.serve(black_box(&reqs[..1])));
     });
     bench("serve/batch_64_cold", records, || {
-        let mut engine = ServeEngine::new(&nlidb, ServeOptions { cache_capacity: 0 });
+        let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(0));
         black_box(engine.serve(black_box(&reqs)));
     });
-    let mut warm = ServeEngine::new(&nlidb, ServeOptions::default());
+    let mut warm = ServeEngine::with_cache(&nlidb, PredictionCache::new(1024));
     black_box(warm.serve(&reqs));
     bench("serve/batch_64_warm", records, || {
         black_box(warm.serve(black_box(&reqs)));

@@ -30,7 +30,8 @@ fn measure(nlidb: &Nlidb, split: &[Example]) -> Recovery {
     let mut before = 0usize;
     let mut after = 0usize;
     for e in split {
-        let (pred_sa, map) = nlidb.predict_annotated(&e.question, &e.table);
+        let ctx = nlidb.table_context(&e.table);
+        let (pred_sa, map) = nlidb.predict_annotated_in(&e.question, &ctx);
         let gold_sa = annotate_query(&e.query, &map);
         if pred_sa == gold_sa {
             before += 1;

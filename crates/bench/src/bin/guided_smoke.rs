@@ -13,13 +13,16 @@
 //! 3. **Pure filter**: when the unguided prediction already executes to
 //!    a non-vacuous result, guidance commits it unchanged.
 //! 4. **Observability**: the `decode.guide.*` trace families (check
-//!    span, verdict/step counters, repair-resolution counters) appear in
-//!    the emitted trace JSON alongside the `storage.*` executor
-//!    counters.
+//!    span, verdict counters, repair-resolution counters) appear in the
+//!    emitted trace JSON alongside the `storage.*` executor counters.
+//! 5. **Lazy judging**: the repair walk executes only the candidates it
+//!    reaches, so the sweep's `decode.guide.checks` stay within
+//!    `beam_width` per guided prediction.
 //!
 //! Exits non-zero on any violation.
 
-use nlidb_core::serve::{ServeEngine, ServeOptions, ServeRequest};
+use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
+use nlidb_core::vocab::encode_source;
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::shard::{CorpusPlan, ShardedCorpusConfig, Split};
 use nlidb_data::wikisql::{generate, WikiSqlConfig};
@@ -58,12 +61,7 @@ fn main() {
     if let nlidb_core::pipeline::Translator::Gru(m) = nlidb.translator() {
         for e in ds.dev.iter().take(12) {
             let ann = nlidb.annotate_question(&e.question, &e.table);
-            let src: Vec<usize> = ann.tokens.iter().map(|t| nlidb.in_vocab().id(t)).collect();
-            let copy: Vec<Option<usize>> = ann
-                .tokens
-                .iter()
-                .map(|t| nlidb.out_vocab().copy_id_for_input_token(t))
-                .collect();
+            let (src, copy) = encode_source(nlidb.in_vocab(), nlidb.out_vocab(), &ann.tokens);
             if src.is_empty() {
                 continue;
             }
@@ -84,7 +82,7 @@ fn main() {
         .iter()
         .map(|e| ServeRequest { question: &e.question, table: &e.table, guided: false })
         .collect();
-    let mut engine = ServeEngine::new(&nlidb, ServeOptions::default());
+    let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(1024));
     let served = engine.serve(&unguided_reqs);
     check(&mut failed, served == sequential, "unguided serve == sequential predict");
 
@@ -107,7 +105,8 @@ fn main() {
                 // When it executes to a non-vacuous result its verdict is
                 // Pass, and the guide must commit it unchanged (which is
                 // also exactly the unguided prediction).
-                let (sa, map) = nlidb.predict_annotated(&e.question, &e.table);
+                let ctx = nlidb.table_context(&e.table);
+                let (sa, map) = nlidb.predict_annotated_in(&e.question, &ctx);
                 let top = nlidb_sqlir::recover(&sa, &map).ok();
                 let top_passes = matches!(
                     top.as_ref().map(|q| execute(&e.table, q)),
@@ -148,6 +147,15 @@ fn main() {
         executed_ok * 10 >= total * 9,
         "at least 90% of guided predictions execute cleanly",
     );
+    // 5. Lazy judging: the walk executes each beam candidate at most once,
+    // and only when it reaches it.
+    let checks = nlidb_trace::counter("decode.guide.checks");
+    let budget = (nlidb.options().model.beam_width * total) as u64;
+    check(
+        &mut failed,
+        checks <= budget,
+        &format!("{checks} guide checks within beam_width x {total} predictions = {budget}"),
+    );
     let path = nlidb_trace::write("guided_smoke").expect("write trace JSON");
     nlidb_trace::set_enabled(false);
 
@@ -163,14 +171,9 @@ fn main() {
         check(&mut failed, span_keys.contains(&name), &format!("span {name}"));
     }
     let counters = parsed.get("counters");
-    for name in [
-        "decode.guide.checks",
-        "decode.guide.steps",
-        "decode.guide.live_beams",
-        "decode.guide.pass",
-        "decode.guide.repair.top",
-        "storage.queries",
-    ] {
+    for name in
+        ["decode.guide.checks", "decode.guide.pass", "decode.guide.repair.top", "storage.queries"]
+    {
         check(
             &mut failed,
             counters.and_then(|c| c.get(name)).is_some(),
@@ -184,6 +187,7 @@ fn main() {
             "predictions": total as f64,
             "executed_ok": executed_ok as f64,
             "last_resort": last_resort as f64,
+            "guide_checks": checks as f64,
         }),
     );
     if failed {

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use nlidb_core::serve::{ServeEngine, ServeOptions, ServeRequest};
+use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::wikisql::{generate, WikiSqlConfig};
 use nlidb_json::{json, Json};
@@ -57,7 +57,7 @@ fn main() {
     nlidb_trace::reset();
     nlidb_trace::set_enabled(true);
     for cache_capacity in [0usize, 1, 1024] {
-        let mut engine = ServeEngine::new(&nlidb, ServeOptions { cache_capacity });
+        let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(cache_capacity));
         let cold = engine.serve(&reqs);
         let warm = engine.serve(&reqs);
         check(
@@ -108,12 +108,12 @@ fn main() {
     let t = Instant::now();
     for _ in 0..rounds {
         for r in &workload[..8] {
-            let mut engine = ServeEngine::new(&nlidb, ServeOptions { cache_capacity: 0 });
+            let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(0));
             let _ = engine.serve(std::slice::from_ref(r));
         }
     }
     let cold_ns_per_req = t.elapsed().as_nanos() as f64 / (rounds * 8) as f64;
-    let mut engine = ServeEngine::new(&nlidb, ServeOptions::default());
+    let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(1024));
     let _ = engine.serve(&workload); // warm the cache
     let t = Instant::now();
     for _ in 0..rounds {

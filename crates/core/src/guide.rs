@@ -3,15 +3,18 @@
 //!
 //! The pipeline owns the executor (`nlidb-storage`), so decode time can
 //! use a signal no learned reranker provides for free: *does this
-//! candidate run, and does it return anything?* [`ExecutionGuide`]
-//! plugs into [`Seq2Seq::decode_beam_guided`](crate::seq2seq::Seq2Seq)
-//! as a [`DecodeGuide`]: the moment a beam candidate completes it is
-//! decoded to annotated SQL, recovered against the question's
-//! [`AnnotationMap`], and executed against the target table. The
-//! verdict ([`GuideVerdict`]) is memoized per token sequence and drives
-//! the deterministic repair walk in
-//! [`Nlidb::predict_guided`](crate::pipeline::Nlidb::predict_guided) —
-//! it never reorders the beam itself (see [`DecodeGuide`] for why).
+//! candidate run, and does it return anything?* The guided path decodes
+//! the ranked beam exactly as the unguided one does, then the repair
+//! walk of [`ExecutionGuide`] goes through it in the model's rank order.
+//! Each candidate the walk reaches is decoded to annotated SQL,
+//! recovered against the question's [`AnnotationMap`], and executed
+//! against the target table; candidates the walk never reaches are never
+//! run. The verdict ([`GuideVerdict`]) is memoized per token sequence. It
+//! picks which ranked candidate
+//! [`Nlidb::predict_guided`](crate::pipeline::Nlidb::predict_guided)
+//! commits and never reorders the beam itself. An executing top
+//! candidate therefore costs one execution, and no question costs more
+//! than one per beam candidate plus the fallback query's.
 //!
 //! ## Pruning rules
 //!
@@ -30,18 +33,17 @@
 //!
 //! Every judgement runs under the `decode.guide.check` span and bumps
 //! the `decode.guide.*` counters (`checks`, `memo_hits`, `pass`,
-//! `vacuous`, `exec_errors`, `unrecoverable`, plus per-step `steps` /
-//! `live_beams` from the search hooks). Because judging *is* executing,
-//! guide activity also shows up in the existing `storage.*` executor
-//! counters (`storage.queries`, `storage.rows_scanned`, …) — the cost
-//! of guidance is visible end to end in one trace.
+//! `vacuous`, `exec_errors`, `unrecoverable`), and the walk counts the
+//! step that committed (`decode.guide.repair.*`). Because judging *is*
+//! executing, guide activity also shows up in the existing `storage.*`
+//! executor counters (`storage.queries`, `storage.rows_scanned`, …) —
+//! the cost of guidance is visible end to end in one trace.
 
 use std::collections::BTreeMap;
 
 use nlidb_sqlir::{recover, AnnotationMap, Query};
 use nlidb_storage::{execute, Table};
 
-use crate::seq2seq::DecodeGuide;
 use crate::vocab::OutVocab;
 
 /// The guide's classification of one completed beam candidate.
@@ -59,10 +61,10 @@ pub enum GuideVerdict {
     Unrecoverable,
 }
 
-/// A [`DecodeGuide`] that judges candidates by recovering and executing
-/// them against the target table, memoizing one verdict per token
-/// sequence (candidates are re-judged during the repair walk, and beams
-/// can converge on identical sequences).
+/// Judges candidates by recovering and executing them against the
+/// target table, memoizing one verdict per token sequence (the repair
+/// walk passes over the beam twice, once for [`GuideVerdict::Pass`] and
+/// once for [`GuideVerdict::Vacuous`]).
 pub struct ExecutionGuide<'a> {
     out_vocab: &'a OutVocab,
     map: &'a AnnotationMap,
@@ -109,6 +111,54 @@ impl<'a> ExecutionGuide<'a> {
         recover(&self.out_vocab.decode(seq), self.map).ok()
     }
 
+    /// Steps 1–5 of the repair walk documented on
+    /// [`Nlidb::predict_guided`](crate::pipeline::Nlidb::predict_guided),
+    /// over the ranked candidates, judging only those the walk reaches.
+    /// `fallback` is the slot-built query for the same annotation map.
+    /// `None` means no step committed, and the caller answers with the
+    /// unguided prediction (step 6).
+    pub(crate) fn repair(
+        &mut self,
+        ranked: &[Vec<usize>],
+        mut fallback: Option<Query>,
+    ) -> Option<Query> {
+        let top = ranked.first();
+        let top_verdict = top.map(|t| self.verdict(t));
+        // An executing top candidate — vacuous or not — is committed
+        // as-is; repair engages only when the unguided answer fails.
+        if matches!(top_verdict, Some(GuideVerdict::Pass | GuideVerdict::Vacuous)) {
+            nlidb_trace::count("decode.guide.repair.top", 1);
+            return top.and_then(|t| self.recovered(t));
+        }
+        let table = self.table;
+        let runs = |q: &Query| execute(table, q).is_ok();
+        // An unrecoverable decode means the unguided answer *is* the
+        // slot-built fallback; when that executes there is nothing to
+        // repair, and the detector's evidence outranks lower-ranked
+        // candidates from the same broken search. Taking the query leaves
+        // step 5 nothing to re-run: it would fail the same way again.
+        if top_verdict != Some(GuideVerdict::Error) {
+            if let Some(q) = fallback.take().filter(runs) {
+                nlidb_trace::count("decode.guide.repair.fallback", 1);
+                return Some(q);
+            }
+        }
+        for (want, step) in [
+            (GuideVerdict::Pass, "decode.guide.repair.beam"),
+            (GuideVerdict::Vacuous, "decode.guide.repair.vacuous"),
+        ] {
+            for seq in ranked.iter().skip(1) {
+                if self.verdict(seq) == want {
+                    nlidb_trace::count(step, 1);
+                    return self.recovered(seq);
+                }
+            }
+        }
+        let q = fallback.filter(runs)?;
+        nlidb_trace::count("decode.guide.repair.fallback", 1);
+        Some(q)
+    }
+
     fn judge(&self, seq: &[usize]) -> GuideVerdict {
         let sa = self.out_vocab.decode(seq);
         match recover(&sa, self.map) {
@@ -119,19 +169,6 @@ impl<'a> ExecutionGuide<'a> {
                 Ok(_) => GuideVerdict::Pass,
             },
         }
-    }
-}
-
-impl DecodeGuide for ExecutionGuide<'_> {
-    fn on_step(&mut self, _step: usize, live_beams: usize) {
-        if nlidb_trace::enabled() {
-            nlidb_trace::count("decode.guide.steps", 1);
-            nlidb_trace::count("decode.guide.live_beams", live_beams as u64);
-        }
-    }
-
-    fn admit(&mut self, seq: &[usize]) -> bool {
-        matches!(self.verdict(seq), GuideVerdict::Pass)
     }
 }
 
@@ -171,50 +208,32 @@ mod tests {
         v
     }
 
+    /// One candidate per verdict against [`table`] and [`map`], in the
+    /// order pass, vacuous, error, unrecoverable.
+    fn candidates(ov: &OutVocab) -> [Vec<usize>; 4] {
+        use AnnTok::{Op, Select, Where, C, G, V};
+        [
+            // SELECT c0 WHERE c1 = v1 → the "a" row's score.
+            ids(ov, &AnnotatedSql(vec![Select, C(0), Where, C(1), Op(CmpOp::Eq), V(1)])),
+            // Condition value "a" never matches the Score column.
+            ids(ov, &AnnotatedSql(vec![Select, C(0), Where, C(0), Op(CmpOp::Eq), V(1)])),
+            // SUM over the text Name column: recovers, then ExecError.
+            ids(ov, &AnnotatedSql(vec![Select, AnnTok::Agg(nlidb_sqlir::Agg::Sum), G(0)])),
+            // References slot c5, which the map does not carry.
+            ids(ov, &AnnotatedSql(vec![Select, C(5)])),
+        ]
+    }
+
     #[test]
     fn verdicts_cover_all_four_outcomes() {
         let ov = OutVocab::new(&ModelConfig::tiny());
         let (t, m) = (table(), map());
         let mut guide = ExecutionGuide::new(&ov, &m, &t);
-
-        // SELECT c0 WHERE c1 = v1 → the "a" row's score: Pass.
-        let pass = ids(
-            &ov,
-            &AnnotatedSql(vec![
-                AnnTok::Select,
-                AnnTok::C(0),
-                AnnTok::Where,
-                AnnTok::C(1),
-                AnnTok::Op(CmpOp::Eq),
-                AnnTok::V(1),
-            ]),
-        );
+        let [pass, vac, err, unrec] = candidates(&ov);
         assert_eq!(guide.verdict(&pass), GuideVerdict::Pass);
         assert!(guide.recovered(&pass).is_some());
-
-        // Condition value "a" never matches the Score column: Vacuous.
-        let vac = ids(
-            &ov,
-            &AnnotatedSql(vec![
-                AnnTok::Select,
-                AnnTok::C(0),
-                AnnTok::Where,
-                AnnTok::C(0),
-                AnnTok::Op(CmpOp::Eq),
-                AnnTok::V(1),
-            ]),
-        );
         assert_eq!(guide.verdict(&vac), GuideVerdict::Vacuous);
-
-        // SUM over the text Name column: recovers, then ExecError.
-        let err = ids(
-            &ov,
-            &AnnotatedSql(vec![AnnTok::Select, AnnTok::Agg(nlidb_sqlir::Agg::Sum), AnnTok::G(0)]),
-        );
         assert_eq!(guide.verdict(&err), GuideVerdict::Error);
-
-        // References slot c5, which the map does not carry.
-        let unrec = ids(&ov, &AnnotatedSql(vec![AnnTok::Select, AnnTok::C(5)]));
         assert_eq!(guide.verdict(&unrec), GuideVerdict::Unrecoverable);
         assert!(guide.recovered(&unrec).is_none());
     }
@@ -230,5 +249,34 @@ mod tests {
             assert_eq!(guide.verdict(&seq), first);
         }
         assert_eq!(guide.memo.len(), 1, "one memo entry per distinct sequence");
+    }
+
+    #[test]
+    fn repair_walks_the_documented_steps_judging_only_what_it_reaches() {
+        let ov = OutVocab::new(&ModelConfig::tiny());
+        let (t, m) = (table(), map());
+        let [pass, vac, err, unrec] = candidates(&ov);
+        let fallback = Some(Query::select(1));
+        let recovered = |seq: &[usize]| ExecutionGuide::new(&ov, &m, &t).recovered(seq);
+        // The committed query, and how many candidates were judged.
+        let walk = |ranked: &[&[usize]], fallback: Option<Query>| {
+            let mut guide = ExecutionGuide::new(&ov, &m, &t);
+            let ranked: Vec<Vec<usize>> = ranked.iter().map(|s| s.to_vec()).collect();
+            let q = guide.repair(&ranked, fallback);
+            (q, guide.memo.len())
+        };
+        // 1. An executing top candidate, even a vacuous one, after one check.
+        assert_eq!(walk(&[&vac, &pass], fallback.clone()), (recovered(&vac), 1));
+        // 2. An unrecoverable (or missing) top defers to a running fallback.
+        assert_eq!(walk(&[&unrec, &pass], fallback.clone()), (fallback.clone(), 1));
+        assert_eq!(walk(&[], fallback.clone()), (fallback.clone(), 0));
+        // 3. After a failing top, the best remaining Pass ...
+        assert_eq!(walk(&[&err, &vac, &pass], fallback.clone()), (recovered(&pass), 3));
+        // 4. ... else the best remaining Vacuous ...
+        assert_eq!(walk(&[&err, &vac], fallback.clone()), (recovered(&vac), 2));
+        // 5. ... else the fallback, if it runs ...
+        assert_eq!(walk(&[&err, &unrec], fallback.clone()), (fallback, 2));
+        // 6. ... else nothing: the caller commits the unguided answer.
+        assert_eq!(walk(&[&err], None), (None, 1));
     }
 }

@@ -50,6 +50,4 @@ pub use guide::{ExecutionGuide, GuideVerdict};
 pub use mention::MentionDetector;
 pub use metrics::{cond_col_val_accuracy, evaluate, EvalResult};
 pub use pipeline::{Nlidb, NlidbOptions, TableContext};
-pub use serve::{
-    serve_batch, CacheTableStats, PredictionCache, ServeEngine, ServeOptions, ServeRequest,
-};
+pub use serve::{CacheTableStats, PredictionCache, ServeEngine, ServeRequest};

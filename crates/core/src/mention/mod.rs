@@ -172,12 +172,7 @@ impl MentionDetector {
     /// Detects column-mention candidates: context-free tier first, then
     /// the neural classifier + adversarial localization for columns the
     /// context-free tier missed (§IV-A's two-stage strategy).
-    pub fn detect_columns(&self, question: &[String], table: &Table) -> Vec<ColumnCandidate> {
-        self.detect_columns_in(question, &self.table_context(table))
-    }
-
-    /// [`Self::detect_columns`] against a prebuilt [`DetectContext`].
-    pub fn detect_columns_in(
+    fn detect_columns_in(
         &self,
         question: &[String],
         ctx: &DetectContext,

@@ -163,7 +163,8 @@ impl Fit for ValueDetector {
     }
 }
 
-/// A prebuilt index of a table's cell contents for [`content_matches`].
+/// A prebuilt index of a table's cell contents for
+/// [`content_matches_indexed`].
 ///
 /// A question span matches a cell when their canonical texts agree up to
 /// internal spacing (`canon == text || squeeze(canon) == squeeze(text)`;
@@ -235,13 +236,10 @@ impl ValueIndex {
 /// classifier above remains the path for counterfactual values. Unlike
 /// classifier candidates, content spans may contain stop words ("tide by
 /// the sea" is a legitimate title).
-pub fn content_matches(question: &[String], table: &nlidb_storage::Table) -> Vec<ValueMention> {
-    content_matches_indexed(question, &ValueIndex::build(table))
-}
-
-/// [`content_matches`] against a prebuilt [`ValueIndex`] — byte-identical
-/// output (pinned by `indexed_content_matches_equal_scan`), without the
-/// per-span table scan.
+///
+/// Looks spans up in a prebuilt [`ValueIndex`]; the output is
+/// byte-identical to a per-span table scan (pinned by
+/// `indexed_content_matches_equal_scan`).
 pub fn content_matches_indexed(question: &[String], index: &ValueIndex) -> Vec<ValueMention> {
     let n = question.len();
     let ncols = index.ncols;
@@ -531,7 +529,7 @@ mod tests {
         // scan reports column 0 and column 0's first cell's canonical text.
         t.push_row(vec![Value::Text("X  Y".into()), Value::Text("xy".into())]);
         let q: Vec<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
-        let found = content_matches(&q, &t);
+        let found = content_matches_indexed(&q, &ValueIndex::build(&t));
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].column, 0);
         assert_eq!(found[0].column_scores, vec![1.0, 1.0], "both columns match");

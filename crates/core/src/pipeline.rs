@@ -16,12 +16,12 @@ use nlidb_text::{EmbeddingSpace, Lexicon, Vocab};
 
 use crate::annotate::{annotate, annotate_gold, gold_target, AnnotateConfig, Annotation};
 use crate::config::ModelConfig;
-use crate::guide::{ExecutionGuide, GuideVerdict};
+use crate::guide::ExecutionGuide;
 use crate::mention::{DetectContext, MentionDetector};
 use crate::seq2seq::{Seq2Seq, Seq2SeqItem};
 use crate::train::Corpus;
 use crate::transformer::TransformerSeq2Seq;
-use crate::vocab::{add_examples, input_vocab_symbols, OutVocab};
+use crate::vocab::{add_examples, encode_source, input_vocab_symbols, OutVocab};
 
 /// Which sequence model translates `q^a -> s^a`.
 pub enum Translator {
@@ -204,28 +204,6 @@ impl Nlidb {
         Nlidb { detector, translator, in_vocab, out_vocab, opts }
     }
 
-    fn encode_src(&self, tokens: &[String]) -> (Vec<usize>, Vec<Option<usize>>) {
-        let src = tokens.iter().map(|t| self.in_vocab.id(t)).collect();
-        let copy = tokens
-            .iter()
-            .map(|t| self.out_vocab.copy_id_for_input_token(t))
-            .collect();
-        (src, copy)
-    }
-
-    fn translate(&self, tokens: &[String]) -> AnnotatedSql {
-        let _t = nlidb_trace::span("pipeline.decode");
-        let (src, copy) = self.encode_src(tokens);
-        if src.is_empty() {
-            return AnnotatedSql::default();
-        }
-        let ids = match &self.translator {
-            Translator::Gru(m) => m.decode_beam(&src, &copy, self.opts.model.beam_width),
-            Translator::Transformer(m) => m.decode_greedy(&src, &copy),
-        };
-        self.out_vocab.decode(&ids)
-    }
-
     /// Builds the reusable per-table inference context: everything the
     /// `q -> s` path derives from the table alone (column names and
     /// tokens, §II statistics, the content-match value index, and the
@@ -235,11 +213,14 @@ impl Nlidb {
     /// ([`crate::serve`]) builds one context per distinct table and
     /// amortizes it across every question in the batch.
     pub fn table_context(&self, table: &Table) -> TableContext {
+        self.context_with_fingerprint(table, table.fingerprint())
+    }
+
+    /// [`Self::table_context`] for a caller that already holds the
+    /// table's [`Table::fingerprint`], so the cells are not hashed again.
+    pub(crate) fn context_with_fingerprint(&self, table: &Table, fingerprint: u64) -> TableContext {
         let _t = nlidb_trace::span("pipeline.table_context");
-        TableContext {
-            fingerprint: table.fingerprint(),
-            detect: self.detector.table_context(table),
-        }
+        TableContext { fingerprint, detect: self.detector.table_context(table) }
     }
 
     /// Runs annotation (step 1) on a question/table pair.
@@ -247,8 +228,7 @@ impl Nlidb {
         self.annotate_question_in(question, &self.table_context(table))
     }
 
-    /// [`Self::annotate_question`] against a prebuilt [`TableContext`].
-    pub fn annotate_question_in(&self, question: &[String], ctx: &TableContext) -> Annotation {
+    fn annotate_question_in(&self, question: &[String], ctx: &TableContext) -> Annotation {
         let _t = nlidb_trace::span("pipeline.annotate");
         let slots = {
             let _t = nlidb_trace::span("pipeline.mention_detect");
@@ -263,6 +243,52 @@ impl Nlidb {
         )
     }
 
+    /// Step 2: the translator's candidates for an annotated question, best
+    /// first — the whole beam for the GRU seq2seq, the single greedy
+    /// decode for the transformer, nothing for an empty source.
+    fn decode_ranked(&self, tokens: &[String]) -> Vec<Vec<usize>> {
+        let _t = nlidb_trace::span("pipeline.decode");
+        let (src, copy) = encode_source(&self.in_vocab, &self.out_vocab, tokens);
+        if src.is_empty() {
+            return Vec::new();
+        }
+        match &self.translator {
+            Translator::Gru(m) => m.decode_beam_ranked(&src, &copy, self.opts.model.beam_width),
+            Translator::Transformer(m) => vec![m.decode_greedy(&src, &copy)],
+        }
+    }
+
+    /// The top candidate's annotated SQL `s^a` (empty when there is none).
+    fn top_sql(&self, ranked: &[Vec<usize>]) -> AnnotatedSql {
+        self.out_vocab.decode(ranked.first().map(Vec::as_slice).unwrap_or(&[]))
+    }
+
+    /// The one inference body behind every `predict*` entry point: annotate
+    /// `q -> q^a` through `ctx`, decode the ranked candidates once, then
+    /// commit. Unguided, the top candidate is recovered into `s`, falling
+    /// back to [`fallback_query`]. Given a table, the repair walk of
+    /// [`Self::predict_guided`] runs first, executing only the candidates
+    /// it reaches, and the unguided answer is its last resort.
+    pub(crate) fn answer(
+        &self,
+        question: &[String],
+        ctx: &TableContext,
+        guide: Option<&Table>,
+    ) -> Option<Query> {
+        let _guided = guide.map(|_| nlidb_trace::span("decode.guide.predict"));
+        let ann = self.annotate_question_in(question, ctx);
+        let ranked = self.decode_ranked(&ann.tokens);
+        if let Some(table) = guide {
+            let mut judge = ExecutionGuide::new(&self.out_vocab, &ann.map, table);
+            if let Some(q) = judge.repair(&ranked, fallback_query(&ann.map)) {
+                return Some(q);
+            }
+            nlidb_trace::count("decode.guide.repair.last_resort", 1);
+        }
+        let _t = nlidb_trace::span("pipeline.recover");
+        recover(&self.top_sql(&ranked), &ann.map).ok().or_else(|| fallback_query(&ann.map))
+    }
+
     /// Full prediction `q -> s` with the detected annotation.
     ///
     /// If the decoded `s^a` is malformed (references a slot the detector
@@ -271,42 +297,40 @@ impl Nlidb {
     /// paper's pipeline so the interface always answers when mentions were
     /// found.
     pub fn predict(&self, question: &[String], table: &Table) -> Option<Query> {
-        self.predict_in(question, &self.table_context(table))
+        self.answer(question, &self.table_context(table), None)
     }
 
     /// [`Self::predict`] against a prebuilt [`TableContext`] — the batched
     /// path; byte-identical to `predict` for a context built from the
     /// same table.
     pub fn predict_in(&self, question: &[String], ctx: &TableContext) -> Option<Query> {
-        let (sa, map) = self.predict_annotated_in(question, ctx);
-        let _t = nlidb_trace::span("pipeline.recover");
-        recover(&sa, &map).ok().or_else(|| fallback_query(&map))
+        self.answer(question, ctx, None)
     }
 
     /// Execution-guided prediction `q -> s` (ROADMAP item 3): decodes the
-    /// full beam, judges every candidate by recovering and executing it
-    /// against `table` (see [`ExecutionGuide`]), and commits the first
-    /// candidate — in the model's own rank order — that survives. The
-    /// repair walk is deterministic:
+    /// full beam, then walks it in the model's own rank order, judging
+    /// each candidate it reaches by recovering and executing it against
+    /// `table` (see [`ExecutionGuide`]), and commits the first that
+    /// survives. The repair walk is deterministic.
     ///
     /// The governing invariant: **guidance never second-guesses an
     /// answer that already executes — it only repairs failing ones.**
     /// Demoting an executing answer (e.g. a provably-empty one) in
     /// favor of a lower-ranked candidate destroys correct predictions
     /// on corpora where the gold answer is legitimately empty, so the
-    /// repair walk engages only when the unguided answer is broken:
+    /// repair walk engages only when the unguided answer is broken. In
+    /// terms of each candidate's [`GuideVerdict`](crate::GuideVerdict):
     ///
-    /// 1. the top-ranked candidate, whenever it executes at all
-    ///    ([`GuideVerdict::Pass`] or [`GuideVerdict::Vacuous`]) — this
-    ///    is byte-identical to the unguided answer;
-    /// 2. if the decode is [`GuideVerdict::Unrecoverable`], the
-    ///    slot-built [`fallback_query`] when it executes — also exactly
-    ///    the unguided answer, since `predict` falls back the same way;
+    /// 1. the top-ranked candidate, whenever it executes at all (`Pass`
+    ///    or `Vacuous`) — this is byte-identical to the unguided answer;
+    /// 2. if the decode is `Unrecoverable`, the slot-built
+    ///    `fallback_query` when it executes — also exactly the unguided
+    ///    answer, since `predict` falls back the same way;
     /// 3. else the highest-ranked remaining candidate whose execution
-    ///    returns a non-vacuous result ([`GuideVerdict::Pass`]);
+    ///    returns a non-vacuous result (`Pass`);
     /// 4. else the highest-ranked remaining candidate that executes at
-    ///    all ([`GuideVerdict::Vacuous`]);
-    /// 5. else the slot-built [`fallback_query`], if it executes without
+    ///    all (`Vacuous`);
+    /// 5. else the slot-built `fallback_query`, if it executes without
     ///    [`ExecError`](nlidb_storage::ExecError);
     /// 6. else exactly the unguided [`Self::predict`] answer — the
     ///    documented last resort, and the only step that may still fail
@@ -315,9 +339,11 @@ impl Nlidb {
     /// Steps 1–2 cover every input whose unguided answer executes, so
     /// guided `Acc_ex` can only differ from the plain beam on inputs the
     /// plain beam already got wrong (an executing wrong answer is left
-    /// alone; a failing one is replaced by something that runs).
+    /// alone; a failing one is replaced by something that runs). An
+    /// executing top candidate costs one execution; no question costs
+    /// more than one per beam candidate, plus the fallback's.
     pub fn predict_guided(&self, question: &[String], table: &Table) -> Option<Query> {
-        self.predict_guided_in(question, &self.table_context(table), table)
+        self.answer(question, &self.table_context(table), Some(table))
     }
 
     /// [`Self::predict_guided`] against a prebuilt [`TableContext`] — the
@@ -330,83 +356,18 @@ impl Nlidb {
         ctx: &TableContext,
         table: &Table,
     ) -> Option<Query> {
-        let _t = nlidb_trace::span("decode.guide.predict");
-        let ann = self.annotate_question_in(question, ctx);
-        let (src, copy) = self.encode_src(&ann.tokens);
-        let mut guide = ExecutionGuide::new(&self.out_vocab, &ann.map, table);
-        let ranked: Vec<Vec<usize>> = if src.is_empty() {
-            Vec::new()
-        } else {
-            let _t = nlidb_trace::span("pipeline.decode");
-            match &self.translator {
-                Translator::Gru(m) => {
-                    m.decode_beam_guided(&src, &copy, self.opts.model.beam_width, &mut guide)
-                }
-                Translator::Transformer(m) => vec![m.decode_greedy(&src, &copy)],
-            }
-        };
-        // Repair walk, in the model's rank order (memoized verdicts from
-        // the search are reused here). An executing top candidate —
-        // vacuous or not — is committed as-is; repair engages only when
-        // the unguided answer fails to execute.
-        let top_verdict = ranked.first().map(|t| guide.verdict(t));
-        if matches!(top_verdict, Some(GuideVerdict::Pass | GuideVerdict::Vacuous)) {
-            nlidb_trace::count("decode.guide.repair.top", 1);
-            return ranked.first().and_then(|t| guide.recovered(t));
-        }
-        // An unrecoverable decode means the unguided answer *is* the
-        // slot-built fallback; when that executes there is nothing to
-        // repair, and the detector's evidence outranks lower-ranked
-        // candidates from the same broken search.
-        if !matches!(top_verdict, Some(GuideVerdict::Error)) {
-            if let Some(q) = fallback_query(&ann.map) {
-                if nlidb_storage::execute(table, &q).is_ok() {
-                    nlidb_trace::count("decode.guide.repair.fallback", 1);
-                    return Some(q);
-                }
-            }
-        }
-        for seq in ranked.iter().skip(1) {
-            if guide.verdict(seq) == GuideVerdict::Pass {
-                nlidb_trace::count("decode.guide.repair.beam", 1);
-                return guide.recovered(seq);
-            }
-        }
-        for seq in ranked.iter().skip(1) {
-            if guide.verdict(seq) == GuideVerdict::Vacuous {
-                nlidb_trace::count("decode.guide.repair.vacuous", 1);
-                return guide.recovered(seq);
-            }
-        }
-        if let Some(q) = fallback_query(&ann.map) {
-            if nlidb_storage::execute(table, &q).is_ok() {
-                nlidb_trace::count("decode.guide.repair.fallback", 1);
-                return Some(q);
-            }
-        }
-        nlidb_trace::count("decode.guide.repair.last_resort", 1);
-        let sa = self.out_vocab.decode(ranked.first().map(Vec::as_slice).unwrap_or(&[]));
-        recover(&sa, &ann.map).ok().or_else(|| fallback_query(&ann.map))
+        self.answer(question, ctx, Some(table))
     }
 
-    /// Steps 1–2 only: returns the predicted annotated SQL and the map.
-    pub fn predict_annotated(
-        &self,
-        question: &[String],
-        table: &Table,
-    ) -> (AnnotatedSql, AnnotationMap) {
-        self.predict_annotated_in(question, &self.table_context(table))
-    }
-
-    /// [`Self::predict_annotated`] against a prebuilt [`TableContext`].
+    /// Steps 1–2 only: the predicted annotated SQL (the top candidate)
+    /// and the annotation map it refers to.
     pub fn predict_annotated_in(
         &self,
         question: &[String],
         ctx: &TableContext,
     ) -> (AnnotatedSql, AnnotationMap) {
         let ann = self.annotate_question_in(question, ctx);
-        let sa = self.translate(&ann.tokens);
-        (sa, ann.map)
+        (self.top_sql(&self.decode_ranked(&ann.tokens)), ann.map)
     }
 
     /// Prediction that bypasses mention detection by using the example's
@@ -417,7 +378,7 @@ impl Nlidb {
         e: &Example,
     ) -> (AnnotatedSql, AnnotatedSql, AnnotationMap) {
         let ann = annotate_gold(e, &self.opts.annotate, self.opts.model.max_headers);
-        let predicted = self.translate(&ann.tokens);
+        let predicted = self.top_sql(&self.decode_ranked(&ann.tokens));
         let gold = gold_target(e, &ann.map);
         (predicted, gold, ann.map)
     }
@@ -501,12 +462,7 @@ fn training_item_for(
     );
     let target = gold_target(e, &ann.map);
     let tgt = out_vocab.try_encode(&target)?;
-    let src: Vec<usize> = ann.tokens.iter().map(|t| in_vocab.id(t)).collect();
-    let copy: Vec<Option<usize>> = ann
-        .tokens
-        .iter()
-        .map(|t| out_vocab.copy_id_for_input_token(t))
-        .collect();
+    let (src, copy) = encode_source(in_vocab, out_vocab, &ann.tokens);
     if src.is_empty() || tgt.is_empty() {
         return None;
     }

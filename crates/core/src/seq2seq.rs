@@ -25,26 +25,29 @@ use crate::vocab::OutVocab;
 /// Maximum decoded target length (annotated SQL is short).
 pub const MAX_DECODE_LEN: usize = 24;
 
-/// A pluggable observer/judge for beam decoding (execution-guided
-/// decoding, ROADMAP item 3).
+/// An observer of the beam search, called as it runs.
 ///
-/// The guide is deliberately a **pure filter, never a reorderer**: the
-/// beam search explores, scores, ranks, and truncates candidates exactly
-/// as the unguided [`Seq2Seq::decode_beam`] does, and the guide's
-/// verdicts influence only which ranked candidate the *caller* commits
-/// to (the repair walk in `pipeline::Nlidb::predict_guided`). Letting
-/// verdicts free beam slots mid-search would admit continuations the
-/// unguided search prunes, silently changing the top candidate and
-/// breaking the "guidance off ≡ guidance on when the top candidate
-/// passes" determinism pin (see DESIGN.md "Execution-guided decoding").
+/// The library's guided path does not use it:
+/// `pipeline::Nlidb::predict_guided` decodes with
+/// [`Seq2Seq::decode_beam_ranked`] and judges candidates lazily, after
+/// the search, in rank order. The trait and [`Seq2Seq::decode_beam_guided`]
+/// remain for the serving benchmark's traced replay, which still judges
+/// every completed candidate as the search produces it, and for the test
+/// that pins the search as unchanged under any observer.
+///
+/// A guide is **never a reorderer**: the beam search explores, scores,
+/// ranks, and truncates candidates exactly as the unguided
+/// [`Seq2Seq::decode_beam`] does. Letting verdicts free beam slots
+/// mid-search would admit continuations the unguided search prunes,
+/// silently changing the top candidate (see DESIGN.md
+/// "Execution-guided decoding").
 pub trait DecodeGuide {
     /// Called once per decode step with the step index and the number of
     /// beams still extending (cost accounting; must not affect output).
     fn on_step(&mut self, step: usize, live_beams: usize);
 
-    /// Judges a completed candidate (EOS reached). Implementations
-    /// should memoize: the same sequence is re-judged during the
-    /// caller's repair walk. Must be a pure function of `seq`.
+    /// Judges a completed candidate (EOS reached). The search ignores
+    /// the answer. Must be a pure function of `seq`.
     fn admit(&mut self, seq: &[usize]) -> bool;
 }
 
@@ -325,8 +328,9 @@ impl Seq2Seq {
 
     /// [`Self::decode_beam`], returning **every** final beam candidate in
     /// descending-score order (the first element is exactly what
-    /// `decode_beam` returns). The ranked tail is what the
-    /// execution-guided repair walk falls back through.
+    /// `decode_beam` returns). The pipeline decodes through this one
+    /// call; the ranked tail is what the execution-guided repair walk
+    /// falls back through.
     pub fn decode_beam_ranked(
         &self,
         src: &[usize],
@@ -338,10 +342,9 @@ impl Seq2Seq {
 
     /// [`Self::decode_beam_ranked`] with a [`DecodeGuide`] observing the
     /// search: `on_step` fires each decode step, `admit` fires the
-    /// moment a candidate completes (so execution verdicts are computed
-    /// — and memoized — during the search, "at candidate completion").
-    /// The returned ranking is byte-identical to the unguided one; the
-    /// guide never prunes or reorders beams (see [`DecodeGuide`]).
+    /// moment a candidate completes. The returned ranking is
+    /// byte-identical to the unguided one; the guide never prunes or
+    /// reorders beams (see [`DecodeGuide`] for who still calls this).
     pub fn decode_beam_guided(
         &self,
         src: &[usize],

@@ -9,11 +9,13 @@
 //!
 //! 1. **Group by table.** Requests are grouped by
 //!    [`Table::fingerprint`] in first-appearance order; each group
-//!    builds its [`TableContext`](crate::pipeline::TableContext) once.
+//!    builds its [`TableContext`](crate::pipeline::TableContext) once,
+//!    reusing the fingerprint the grouping already computed.
 //! 2. **Fan out.** Within a group, distinct questions run the
-//!    annotate → encode → decode → recover chain in parallel across the
-//!    `nlidb_tensor::pool`, each writing to its own slot. Results are
-//!    returned in request order.
+//!    pipeline's one inference body (annotate → decode → commit, the
+//!    commit being the repair walk for guided requests) in parallel
+//!    across the `nlidb_tensor::pool`, each writing to its own slot.
+//!    Results are returned in request order.
 //! 3. **Cache.** A deterministic bounded [`PredictionCache`] keyed by
 //!    `(table fingerprint, tokenized question, guided flag)` serves
 //!    repeats across batches; duplicates *within* a batch are
@@ -71,20 +73,6 @@ pub struct ServeRequest<'a> {
     /// deterministically. `false` is the pre-existing unguided path,
     /// byte-for-byte.
     pub guided: bool,
-}
-
-/// Serving configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeOptions {
-    /// Maximum number of predictions the cache retains; `0` disables
-    /// caching entirely (within-batch deduplication still applies).
-    pub cache_capacity: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions { cache_capacity: 1024 }
-    }
 }
 
 /// Cache key: the table's content fingerprint, the tokenized question,
@@ -148,7 +136,9 @@ pub struct PredictionCache {
 }
 
 impl PredictionCache {
-    /// Creates a cache holding at most `capacity` predictions (0 = off).
+    /// Creates a cache holding at most `capacity` predictions; `0`
+    /// disables caching entirely (within-batch deduplication still
+    /// applies).
     pub fn new(capacity: usize) -> PredictionCache {
         PredictionCache { capacity, ..PredictionCache::default() }
     }
@@ -267,9 +257,8 @@ impl PredictionCache {
 /// One per-table request group, first-appearance order.
 struct Group<'a> {
     table: &'a Table,
-    /// The table's content fingerprint (computed during grouping; also
-    /// the cache-key component, so a fully-cached group never rebuilds
-    /// its context just to learn its own fingerprint).
+    /// The table's content fingerprint, hashed once during grouping: the
+    /// cache-key component, and the fingerprint of the group's context.
     fingerprint: u64,
     /// Request indices into the batch, ascending.
     indices: Vec<usize>,
@@ -283,16 +272,12 @@ pub struct ServeEngine<'m> {
 }
 
 impl<'m> ServeEngine<'m> {
-    /// Builds an engine over a trained system.
-    pub fn new(nlidb: &'m Nlidb, opts: ServeOptions) -> ServeEngine<'m> {
-        ServeEngine { nlidb, cache: PredictionCache::new(opts.cache_capacity) }
-    }
-
-    /// Builds an engine that adopts an existing cache. Long-lived servers
-    /// use this to keep cache contents and statistics across engine
-    /// reconstructions (the engine borrows the model, so a caller that
-    /// owns its `Nlidb` rebuilds the engine per batch and threads the
-    /// cache through with [`ServeEngine::into_cache`]).
+    /// Builds an engine over a trained system that adopts `cache`; a
+    /// fresh engine passes `PredictionCache::new(capacity)`. Long-lived
+    /// servers use this to keep cache contents and statistics across
+    /// engine reconstructions (the engine borrows the model, so a caller
+    /// that owns its `Nlidb` rebuilds the engine per batch and threads
+    /// the cache through with [`ServeEngine::into_cache`]).
     ///
     /// The cache must only be reused with the **same trained parameters**
     /// it was filled under: entries map `(table, question)` to the
@@ -392,7 +377,7 @@ impl<'m> ServeEngine<'m> {
         // change any prediction.
         let ctx = {
             let _c = nlidb_trace::span("serve.context");
-            self.nlidb.table_context(group.table)
+            self.nlidb.context_with_fingerprint(group.table, group.fingerprint)
         };
 
         // Phase 2: fan the unique questions across the pool. Slot `u`
@@ -409,10 +394,7 @@ impl<'m> ServeEngine<'m> {
                 .and_then(|(_, waiters)| waiters.first())
                 .and_then(|&first| requests.get(first));
             if let (Some(out), Some(req)) = (slot.first_mut(), req) {
-                *out = Some(match req.guided {
-                    true => nlidb.predict_guided_in(req.question, ctx, table),
-                    false => nlidb.predict_in(req.question, ctx),
-                });
+                *out = Some(nlidb.answer(req.question, ctx, req.guided.then_some(table)));
             }
         });
 
@@ -428,12 +410,6 @@ impl<'m> ServeEngine<'m> {
             self.cache.insert(key, value);
         }
     }
-}
-
-/// One-shot convenience: serves a batch with the default cache
-/// configuration and discards the engine.
-pub fn serve_batch(nlidb: &Nlidb, requests: &[ServeRequest<'_>]) -> Vec<Option<Query>> {
-    ServeEngine::new(nlidb, ServeOptions::default()).serve(requests)
 }
 
 #[cfg(test)]

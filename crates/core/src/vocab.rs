@@ -182,9 +182,18 @@ impl OutVocab {
     }
 }
 
-/// Encodes question tokens to input-vocabulary ids.
-pub fn encode_tokens(vocab: &Vocab, tokens: &[String]) -> Vec<usize> {
-    tokens.iter().map(|t| vocab.id(t)).collect()
+/// Encodes an annotated question `q^a` for the translator: its
+/// input-vocabulary ids, and per position the output-vocabulary id the
+/// copy mechanism may copy it as. Training and inference both encode
+/// through here.
+pub fn encode_source(
+    in_vocab: &Vocab,
+    out_vocab: &OutVocab,
+    tokens: &[String],
+) -> (Vec<usize>, Vec<Option<usize>>) {
+    let src = tokens.iter().map(|t| in_vocab.id(t)).collect();
+    let copy = tokens.iter().map(|t| out_vocab.copy_id_for_input_token(t)).collect();
+    (src, copy)
 }
 
 /// Sanity helper: fraction of tokens that map to `<unk>`.

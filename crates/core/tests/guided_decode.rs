@@ -178,7 +178,7 @@ fn guided_predict_is_byte_identical_when_top_candidate_passes() {
             // Pass, so the guide must commit it — and the unguided
             // prediction is that same recovery, so the two must agree
             // byte-for-byte.
-            let (sa, map) = nlidb.predict_annotated(&e.question, &e.table);
+            let (sa, map) = nlidb.predict_annotated_in(&e.question, &nlidb.table_context(&e.table));
             let top_ok = matches!(
                 nlidb_sqlir::recover(&sa, &map).ok().map(|q| execute(&e.table, &q)),
                 Some(Ok(rs)) if !rs.is_vacuous()
@@ -211,6 +211,40 @@ fn guided_predict_is_byte_identical_when_top_candidate_passes() {
         top_passes >= 6,
         "too few top-candidate passes ({top_passes}) for the identity check to mean anything"
     );
+}
+
+/// Guidance judges lazily: the repair walk executes only the beam
+/// candidates it reaches. A top candidate that executes is committed
+/// after exactly one check, and no question costs more checks than the
+/// beam holds candidates (each verdict is memoized).
+#[test]
+fn guided_predict_judges_only_what_the_walk_reaches() {
+    let _guard = pool_lock();
+    pool::set_threads(pool::default_threads());
+    let (nlidb, ds) = tiny_system(3102);
+    let width = nlidb.options().model.beam_width as u64;
+    nlidb_trace::set_enabled(true);
+    let mut costs: Vec<(bool, u64)> = Vec::new();
+    for e in ds.dev.iter().take(16) {
+        let (sa, map) = nlidb.predict_annotated_in(&e.question, &nlidb.table_context(&e.table));
+        let top_executes = matches!(
+            nlidb_sqlir::recover(&sa, &map).ok().map(|q| execute(&e.table, &q)),
+            Some(Ok(_))
+        );
+        let before = nlidb_trace::counter("decode.guide.checks");
+        nlidb.predict_guided(&e.question, &e.table);
+        costs.push((top_executes, nlidb_trace::counter("decode.guide.checks") - before));
+    }
+    nlidb_trace::set_enabled(false);
+    nlidb_trace::reset();
+    for (i, &(top_executes, checks)) in costs.iter().enumerate() {
+        if top_executes {
+            assert_eq!(checks, 1, "dev[{i}]: an executing top candidate costs one check");
+        }
+        assert!(checks <= width, "dev[{i}]: {checks} checks for a beam of {width}");
+    }
+    let executing = costs.iter().filter(|c| c.0).count();
+    assert!(executing >= 6, "too few executing top candidates ({executing}) to mean anything");
 }
 
 /// The never-fails property, as a seeded loop over sharded corpora: the

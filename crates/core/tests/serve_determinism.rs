@@ -8,7 +8,7 @@
 //! rendering (every field, every float), and equality of the emitted
 //! SQL text.
 
-use nlidb_core::serve::{ServeEngine, ServeOptions, ServeRequest};
+use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::wikisql::{generate, WikiSqlConfig};
 use nlidb_sqlir::Query;
@@ -81,7 +81,7 @@ fn batched_predictions_are_byte_identical_to_sequential() {
         for cache_capacity in [0usize, 1, 1024] {
             pool::set_threads(threads);
             let mut engine =
-                ServeEngine::new(&nlidb, ServeOptions { cache_capacity });
+                ServeEngine::with_cache(&nlidb, PredictionCache::new(cache_capacity));
             // Serve the batch twice through one engine: the second pass
             // hits the cache (when enabled) and must still match.
             for pass in 0..2 {
@@ -122,7 +122,7 @@ fn cache_handoff_matches_a_persistent_engine_and_attributes_per_table() {
         .collect();
 
     // One engine kept alive across both passes…
-    let mut persistent = ServeEngine::new(&nlidb, ServeOptions { cache_capacity: 64 });
+    let mut persistent = ServeEngine::with_cache(&nlidb, PredictionCache::new(64));
     let persistent_out = [persistent.serve(&serve_reqs), persistent.serve(&serve_reqs)];
 
     // …versus the server's usage pattern: a fresh engine per batch with
@@ -179,7 +179,7 @@ fn engine_cache_state_is_thread_count_independent() {
     let mut stats = Vec::new();
     for threads in [1usize, pool::default_threads().max(2)] {
         pool::set_threads(threads);
-        let mut engine = ServeEngine::new(&nlidb, ServeOptions { cache_capacity: 7 });
+        let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(7));
         engine.serve(&serve_reqs);
         engine.serve(&serve_reqs);
         let keys: Vec<String> =

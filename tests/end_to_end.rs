@@ -2,7 +2,7 @@
 //! result` path, spanning data generation, mention detection, annotation,
 //! translation, recovery, and execution.
 
-use nlidb_core::serve::{ServeEngine, ServeOptions, ServeRequest};
+use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
 use nlidb_core::{evaluate, ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::wikisql::{generate, WikiSqlConfig};
 use nlidb_sqlir::{query_match, recover, Query};
@@ -102,7 +102,7 @@ fn batched_serving_matches_sequential_and_reports_cache_traffic() {
 
     nlidb_trace::set_enabled(true);
     nlidb_trace::reset();
-    let mut engine = ServeEngine::new(&nlidb, ServeOptions { cache_capacity: 64 });
+    let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(64));
     let first = engine.serve(&reqs);
     let second = engine.serve(&reqs);
     let hits = nlidb_trace::counter("serve.cache.hits");
