@@ -235,8 +235,15 @@ fn guided_predict_judges_only_what_the_walk_reaches() {
         nlidb.predict_guided(&e.question, &e.table);
         costs.push((top_executes, nlidb_trace::counter("decode.guide.checks") - before));
     }
+    let snap = nlidb_trace::snapshot("guided");
     nlidb_trace::set_enabled(false);
     nlidb_trace::reset();
+    for name in ["decode.guide.predict", "decode.guide.check"] {
+        assert!(snap.get("spans").and_then(|s| s.get(name)).is_some(), "missing span {name}");
+    }
+    for name in ["decode.guide.pass", "decode.guide.repair.top", "storage.queries"] {
+        assert!(snap.get("counters").and_then(|c| c.get(name)).is_some(), "missing counter {name}");
+    }
     for (i, &(top_executes, checks)) in costs.iter().enumerate() {
         if top_executes {
             assert_eq!(checks, 1, "dev[{i}]: an executing top candidate costs one check");

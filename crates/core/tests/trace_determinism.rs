@@ -4,16 +4,23 @@
 //! observes the computation, it never participates in it (no PRNG draws,
 //! no reordered float reductions).
 //!
+//! The same holds for the whole system: a tiny `Nlidb` trained and
+//! evaluated with tracing off and on yields the same stores, dev
+//! predictions and `Acc_ex` bits.
+//!
 //! Also sanity-checks the trace snapshot itself: it must round-trip
 //! through the in-tree JSON parser and carry the instrument families the
 //! tentpole promises (autograd op spans, backward stats, training-loop
-//! series).
+//! series, pipeline stage spans, executor counters).
 
 use nlidb_core::mention::classifier::MentionClassifier;
-use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
+use nlidb_core::pipeline::Translator;
+use nlidb_core::{evaluate, ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::stream::InMemorySource;
-use nlidb_data::{CorpusPlan, ShardedCorpusConfig, Split};
+use nlidb_data::wikisql::{generate, WikiSqlConfig};
+use nlidb_data::{CorpusPlan, Dataset, Example, ShardedCorpusConfig, Split};
 use nlidb_json::Json;
+use nlidb_sqlir::Query;
 use nlidb_text::{tokenize, EmbeddingSpace};
 
 /// Serializes tests that flip the global trace switch.
@@ -41,7 +48,7 @@ fn training_is_bitwise_equal_with_tracing_on_and_off() {
     let _guard = trace_lock();
     let cfg = ModelConfig::tiny();
     let data = training_data();
-    let ds = nlidb_data::wikisql::generate(&nlidb_data::wikisql::WikiSqlConfig::tiny(21));
+    let ds = generate(&WikiSqlConfig::tiny(21));
     let vocab = nlidb_core::vocab::build_input_vocab(&ds, &cfg);
     let space = EmbeddingSpace::with_builtin_lexicon(cfg.word_dim, 3);
 
@@ -97,7 +104,7 @@ fn disabled_tracing_records_nothing_during_training() {
     nlidb_trace::set_enabled(false);
     nlidb_trace::reset();
     let cfg = ModelConfig::tiny();
-    let ds = nlidb_data::wikisql::generate(&nlidb_data::wikisql::WikiSqlConfig::tiny(21));
+    let ds = generate(&WikiSqlConfig::tiny(21));
     let vocab = nlidb_core::vocab::build_input_vocab(&ds, &cfg);
     let space = EmbeddingSpace::with_builtin_lexicon(cfg.word_dim, 3);
     let mut m = MentionClassifier::new(&cfg, vocab, &space);
@@ -139,5 +146,74 @@ fn out_of_core_training_records_per_epoch_series() {
             panic!("streamed training recorded no {name} series");
         };
         assert_eq!(points.len(), n, "{name}: one point per epoch expected");
+    }
+}
+
+/// The entry names of one section of a parsed trace snapshot.
+fn section_keys<'a>(snap: &'a Json, section: &str) -> Vec<&'a str> {
+    match snap.get(section) {
+        Some(Json::Obj(entries)) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => panic!("missing section {section}"),
+    }
+}
+
+/// One full train + evaluate pass: the concatenated parameter stores of
+/// every model, the dev predictions, and `Acc_ex`.
+fn train_and_evaluate(ds: &Dataset) -> (String, Vec<Option<Query>>, f32) {
+    let opts = NlidbOptions { model: ModelConfig::tiny(), ..NlidbOptions::default() };
+    let nlidb = Nlidb::train(ds, opts);
+    let mut stores = nlidb.detector.classifier.store.to_json_string();
+    stores.push_str(&nlidb.detector.value_detector.store.to_json_string());
+    match nlidb.translator() {
+        Translator::Gru(m) => stores.push_str(&m.store.to_json_string()),
+        Translator::Transformer(m) => stores.push_str(&m.store.to_json_string()),
+    }
+    let preds: Vec<(Option<Query>, &Example)> =
+        ds.dev.iter().map(|e| (nlidb.predict(&e.question, &e.table), e)).collect();
+    let acc_ex = evaluate(&preds).acc_ex;
+    (stores, preds.into_iter().map(|(p, _)| p).collect(), acc_ex)
+}
+
+#[test]
+fn whole_system_is_bitwise_equal_with_tracing_on_and_off() {
+    let _guard = trace_lock();
+    let mut gen_cfg = WikiSqlConfig::tiny(75);
+    gen_cfg.train_tables = 8;
+    gen_cfg.questions_per_table = 8;
+    let ds = generate(&gen_cfg);
+
+    nlidb_trace::set_enabled(false);
+    let (stores_off, preds_off, ex_off) = train_and_evaluate(&ds);
+    nlidb_trace::reset();
+    nlidb_trace::set_enabled(true);
+    let (stores_on, preds_on, ex_on) = train_and_evaluate(&ds);
+    let snap = nlidb_trace::snapshot("whole_system");
+    nlidb_trace::set_enabled(false);
+    nlidb_trace::reset();
+
+    assert_eq!(stores_off, stores_on, "parameter stores diverged between NLIDB_TRACE off and on");
+    assert_eq!(preds_off, preds_on, "dev predictions diverged between NLIDB_TRACE off and on");
+    assert_eq!(ex_off.to_bits(), ex_on.to_bits(), "Acc_ex diverged between NLIDB_TRACE off and on");
+
+    let parsed = Json::parse(&snap.pretty()).expect("trace snapshot must be valid JSON");
+    let spans = section_keys(&parsed, "spans");
+    assert!(spans.iter().any(|k| k.starts_with("graph.bwd.")), "no autograd backward-op spans");
+    for name in [
+        "pipeline.train.mention",
+        "pipeline.train.translator",
+        "pipeline.mention_detect",
+        "pipeline.annotate",
+        "pipeline.decode",
+        "storage.execute",
+    ] {
+        assert!(spans.contains(&name), "missing span {name}");
+    }
+    let counters = section_keys(&parsed, "counters");
+    for name in ["storage.queries", "storage.rows_scanned", "storage.conditions_evaluated"] {
+        assert!(counters.contains(&name), "missing counter {name}");
+    }
+    let series = section_keys(&parsed, "series");
+    for name in ["train.seq2seq.loss", "train.seq2seq.epoch_ms"] {
+        assert!(series.contains(&name), "missing series {name}");
     }
 }

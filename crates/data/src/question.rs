@@ -69,7 +69,7 @@ impl NoiseConfig {
 /// removes the per-question re-tokenization of the same fixed phrases —
 /// the dbgen-style "compile templates once" step of the sharded corpus
 /// pipeline. A plan lookup miss (dynamic text: values, inflected words)
-/// falls back to [`nlidb_text::tokenize`], so realization through a plan
+/// falls back to [`nlidb_text::tokenize()`], so realization through a plan
 /// is byte-identical to realization without one.
 #[derive(Debug, Clone, Default)]
 pub struct TemplatePlan {

@@ -3,10 +3,10 @@
 //!
 //! [`write_corpus`] fans the shards of a [`CorpusPlan`] out over the
 //! worker pool; each worker generates its shard and streams it through a
-//! bounded [`JsonlWriter`](crate::export::JsonlWriter) into its own
-//! `{split}-{index:05}.jsonl` file, so the file bytes are identical for
-//! any thread count and no more than one shard per worker is ever
-//! resident. A `manifest.json` written last records the shard layout.
+//! bounded [`JsonlWriter`] into its own `{split}-{index:05}.jsonl` file,
+//! so the file bytes are identical for any thread count and no more than
+//! one shard per worker is ever resident. A `manifest.json` written last
+//! records the shard layout.
 //!
 //! [`CorpusReader`] streams the corpus back: one shard at a time, each
 //! returned as a [`ShardLease`] whose drop releases its examples from
@@ -190,7 +190,7 @@ pub fn write_corpus(plan: &CorpusPlan, dir: &Path) -> Result<CorpusManifest, Str
 
 /// Shared gauge of resident streamed examples: `current` counts the
 /// examples held by live [`ShardLease`]s, `peak` the high-water mark.
-/// The peak is how the verify smoke asserts the out-of-core bound.
+/// The peak is how the tests assert the out-of-core bound.
 #[derive(Debug, Clone, Default)]
 pub struct ResidencyGauge {
     inner: Arc<GaugeInner>,
@@ -616,7 +616,7 @@ pub fn load_split(dir: &Path, split: Split) -> Result<Vec<Example>, StreamError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::export_record;
+    use crate::export::{export_record, to_jsonl};
     use crate::shard::ShardedCorpusConfig;
     use nlidb_tensor::pool::{default_threads, set_threads};
 
@@ -650,6 +650,8 @@ mod tests {
         assert_eq!(reader.manifest(), &manifest);
         for (i, spec) in plan.shards().iter().enumerate() {
             let want = plan.gen_shard(spec.index);
+            let on_disk = std::fs::read_to_string(dir.join(&manifest.shards[i].file)).unwrap();
+            assert_eq!(on_disk, to_jsonl(&want), "shard {i} file is not its JSONL export");
             let got = reader.read_shard(i).unwrap();
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
@@ -699,6 +701,53 @@ mod tests {
         }
         assert!(gauge.peak() <= max_shard, "peak {} > shard bound {max_shard}", gauge.peak());
         assert!(gauge.peak() < total, "streaming never held the whole corpus");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bounds at scale: a corpus of 1e5 questions (5,000 train tables
+    /// of 20 questions, 250 tables per shard, about 100 MB of temp files).
+    #[test]
+    fn a_1e5_question_corpus_regenerates_and_streams_one_shard_at_a_time() {
+        let mut cfg = ShardedCorpusConfig::tiny(92);
+        cfg.base.train_tables = 5000;
+        cfg.base.dev_tables = 10;
+        cfg.base.test_tables = 10;
+        cfg.base.questions_per_table = 20;
+        cfg.tables_per_shard = 250;
+        let plan = CorpusPlan::compile(cfg.clone());
+        assert!(plan.num_examples() >= 100_000, "{} questions", plan.num_examples());
+        let dir = temp_dir("scale");
+        let manifest = write_corpus(&plan, &dir).unwrap();
+        assert_eq!(manifest.examples, plan.num_examples());
+
+        // One mid-corpus shard, regenerated alone from a fresh plan.
+        let probe = manifest.shards.len() / 2;
+        let regenerated = to_jsonl(&CorpusPlan::compile(cfg).gen_shard(probe));
+        let on_disk = std::fs::read_to_string(dir.join(&manifest.shards[probe].file)).unwrap();
+        assert!(regenerated == on_disk, "shard {probe} does not regenerate byte-identically");
+
+        // Stream the train split back: every example exactly once, never
+        // more than one shard resident.
+        let mut reader = CorpusReader::open(&dir).unwrap();
+        let gauge = reader.gauge();
+        let mut src = reader.split_source(Split::Train);
+        let split_total = src.num_examples();
+        let mut ids = Vec::with_capacity(split_total);
+        for s in 0..src.num_shards() {
+            ids.extend(src.load_shard(s).unwrap().iter().map(|e| e.id));
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), split_total, "train examples did not stream back exactly once");
+        let max_shard = manifest
+            .shards
+            .iter()
+            .filter(|s| s.split == "train")
+            .map(|s| s.examples)
+            .max()
+            .unwrap();
+        assert!(gauge.peak() <= max_shard, "peak {} > shard bound {max_shard}", gauge.peak());
+        assert!(gauge.peak() < split_total, "streaming held the whole split");
         std::fs::remove_dir_all(&dir).ok();
     }
 

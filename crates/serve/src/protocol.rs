@@ -31,10 +31,10 @@ pub fn fingerprint_to_hex(fp: u64) -> String {
     format!("{fp:016x}")
 }
 
-/// Parses a wire fingerprint. Accepts 1–16 hex digits, any case;
-/// canonical form is 16 lowercase digits.
+/// Parses a wire fingerprint. Accepts 1–16 hex digits, any case, and
+/// nothing else (no sign); canonical form is 16 lowercase digits.
 pub fn fingerprint_from_hex(s: &str) -> Option<u64> {
-    if s.is_empty() || s.len() > 16 {
+    if s.is_empty() || s.len() > 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u64::from_str_radix(s, 16).ok()
@@ -743,6 +743,7 @@ mod tests {
         assert_eq!(fingerprint_from_hex(""), None);
         assert_eq!(fingerprint_from_hex("00000000000000000"), None, "17 digits");
         assert_eq!(fingerprint_from_hex("xyz"), None);
+        assert_eq!(fingerprint_from_hex("+ff"), None, "a sign is not a hex digit");
     }
 
     #[test]

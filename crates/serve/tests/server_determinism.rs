@@ -13,7 +13,7 @@ use std::time::Duration;
 use common::{pool_lock, system, RawClient};
 use nlidb_core::Nlidb;
 use nlidb_json::{encode_frame, ToJson};
-use nlidb_serve::{AskItem, Op, Reply, Request, Response, Server, ServerConfig};
+use nlidb_serve::{AdmissionConfig, AskItem, Op, Reply, Request, Response, Server, ServerConfig};
 use nlidb_tensor::pool;
 
 /// The replay log. Requests carry their log index as `id`, so every
@@ -39,6 +39,13 @@ fn build_log() -> (usize, Vec<Request>) {
     for (ti, q) in &sys.questions {
         log.push(Request::new(log.len() as i64, "acme", ask(*ti, q)));
     }
+    // A hot swap to the same checkpoint mid-log: answers must not change,
+    // whichever side of the swap an ask lands on.
+    log.push(Request::new(
+        log.len() as i64,
+        "ops",
+        Op::SwapCheckpoint { path: sys.ckpt.display().to_string() },
+    ));
     // …then every other question again (cache-hit paths must yield the
     // same bytes as the original computation).
     for (ti, q) in sys.questions.iter().step_by(2) {
@@ -70,6 +77,15 @@ fn build_log() -> (usize, Vec<Request>) {
                 AskItem { fingerprint: 0xdead_beef, question: vec!["nothing".into()], guided: false },
             ],
         },
+    ));
+    // A batch larger than the per-tenant admission cap: always shed, with
+    // response bytes that depend on the id and tenant only.
+    let flood = AskItem { fingerprint: fps[0], question: sys.questions[0].1.clone(), guided: false };
+    let over_cap = AdmissionConfig::default().per_tenant + 1;
+    log.push(Request::new(
+        log.len() as i64,
+        "flood",
+        Op::Batch { items: vec![flood; over_cap] },
     ));
     // Tenancy: a stranger asking acme's table is `unknown_table`.
     log.push(Request::new(log.len() as i64, "intruder", ask(0, &sys.questions[0].1)));
@@ -149,22 +165,37 @@ fn replay_is_byte_identical_across_threads_connections_and_batching() {
         ("N threads, 3 conns, batch=4", pool::default_threads(), 3, mid),
     ];
 
+    // Replayed with tracing on, so the server's instruments are pinned too.
+    nlidb_trace::reset();
+    nlidb_trace::set_enabled(true);
     let mut outputs: Vec<(&str, Vec<String>)> = Vec::new();
     for (label, threads, conns, cfg) in runs {
         pool::set_threads(threads);
         outputs.push((label, run_replay(cfg, conns)));
     }
     pool::set_threads(pool::default_threads());
+    let snap = nlidb_trace::snapshot("replay");
+    nlidb_trace::set_enabled(false);
+    nlidb_trace::reset();
 
     let (ref_label, reference) = &outputs[0];
     // The log must be meaningful: real answers, a cache-hit region, the
-    // per-item batch error, and the tenancy rejection all present.
+    // hot swap, the per-item batch error, the shed over-cap batch, and the
+    // tenancy rejection all present.
     let answers = reference.iter().filter(|l| l.contains("\"type\":\"answer\"")).count();
-    assert!(answers >= 6, "reference produced too few answers ({answers}) to mean much");
+    assert!(answers >= 8, "reference produced too few answers ({answers}) to mean much");
+    assert!(
+        reference.iter().any(|l| l.contains("\"type\":\"swapped\"")),
+        "the mid-log hot swap must succeed"
+    );
     assert!(
         reference.iter().any(|l| l.contains("\"type\":\"batch\"")
             && l.contains("\"error\":{\"code\":\"unknown_table\"")),
         "batch example must carry its per-item error"
+    );
+    assert!(
+        reference.iter().any(|l| l.contains("\"code\":\"overloaded\"")),
+        "the over-cap batch must be shed"
     );
     assert!(
         reference.last().expect("nonempty log").contains("\"code\":\"unknown_table\""),
@@ -179,6 +210,22 @@ fn replay_is_byte_identical_across_threads_connections_and_batching() {
                 "response {i} diverged between `{ref_label}` and `{label}`"
             );
         }
+    }
+
+    for name in ["server.batch", "server.request", "server.register", "server.swap"] {
+        assert!(snap.get("spans").and_then(|s| s.get(name)).is_some(), "missing span {name}");
+    }
+    for name in [
+        "server.connections",
+        "server.requests",
+        "server.questions",
+        "server.batches",
+        "server.shed",
+        "server.errors",
+        "server.registered",
+        "server.swaps",
+    ] {
+        assert!(snap.get("counters").and_then(|c| c.get(name)).is_some(), "missing counter {name}");
     }
 }
 

@@ -7,12 +7,10 @@
 //!   execution-accuracy metric (`Acc_ex`).
 //! - [`stats`] — §II database statistics: O(1)-size per-column embedding
 //!   centroids (`s_c`) consumed by the §IV-D value-detection classifier.
-//! - [`catalog`] — a named table collection for the examples.
 //! - [`csv`] — CSV loading and table rendering for the CLI.
 
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod csv;
 pub mod exec;
 pub mod schema;
@@ -20,7 +18,6 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use catalog::Catalog;
 pub use csv::{render_table, table_from_csv, CsvError};
 pub use exec::{execute, execution_match, ExecError, ResultSet};
 pub use schema::{Column, DataType, Schema};

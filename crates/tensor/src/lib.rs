@@ -15,8 +15,8 @@
 //! ## Layout
 //! - [`tensor`]: dense row-major `f32` matrices.
 //! - [`matmul`]: the matmul kernels behind [`Tensor::matmul`] — scalar
-//!   reference, column-chunked single-row, and cache-blocked packed-B
-//!   with runtime SIMD dispatch — all bitwise-identical per cell.
+//!   reference and cache-blocked packed-B with runtime SIMD dispatch —
+//!   both bitwise-identical per cell.
 //! - [`graph`]: the define-by-run tape ([`Graph`], [`NodeId`]) with forward
 //!   ops and reverse-mode [`Graph::backward`].
 //! - [`params`]: persistent named parameters ([`ParamStore`]).

@@ -1,17 +1,16 @@
 //! Blocked matmul fast path with a packed-B layout and SIMD dispatch.
 //!
 //! [`Tensor::matmul`](crate::Tensor::matmul) routes through
-//! [`matmul_into`], which picks between three kernels:
+//! `matmul_into`, which picks between two kernels:
 //!
-//! - **Scalar reference** — the original i-k-j loop
-//!   ([`scalar_row_into`]), still the semantic ground truth.
-//! - **Single-row** — a `[1, K] @ [K, N]` product (the decode-time vocab
-//!   projection) has only one output row, so the classic row fan-out can
-//!   never parallelize it; instead the output row is split into *column*
-//!   chunks across the pool, each computed by the same scalar loop.
+//! - **Scalar reference** — the original i-k-j loop (`scalar_row_into`),
+//!   still the semantic ground truth, fanned out over row chunks when the
+//!   product is large enough. A single-row `[1, K] @ [K, N]` product runs
+//!   it serially: no model product of that shape comes near the fan-out
+//!   threshold, and below it a fan-out costs more than it saves.
 //! - **Blocked** — for `M >= MR`, B is packed into column panels of
-//!   width [`NR`] so the micro-kernel streams contiguous memory, and an
-//!   `MR x NR` register tile accumulates [`MR`] output rows at once.
+//!   width `NR` so the micro-kernel streams contiguous memory, and an
+//!   `MR x NR` register tile accumulates `MR` output rows at once.
 //!
 //! ## The reduction-order invariant
 //!
@@ -49,14 +48,14 @@ const MR: usize = 4;
 /// Column width of a packed-B panel (and of the register tile).
 const NR: usize = 16;
 
-/// Which matmul implementation [`matmul_into`] uses.
+/// Which matmul implementation `matmul_into` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulKernel {
     /// The original scalar i-k-j loop (row fan-out only). The ground
     /// truth that every fast path must match bitwise.
     Reference,
-    /// Runtime choice between the scalar, single-row-chunked, and
-    /// blocked/packed kernels (the default).
+    /// Runtime choice between the scalar and blocked/packed kernels
+    /// (the default).
     Auto,
 }
 
@@ -145,8 +144,8 @@ pub(crate) fn scalar_row_into(a_row: &[f32], b: &[f32], n: usize, out_row: &mut 
 }
 
 /// Computes `out = a[m, k] @ b[k, n]` (`out` assumed zeroed), dispatching
-/// between the reference, single-row, and blocked kernels. Every path
-/// produces bitwise-identical output (see module docs).
+/// between the reference and blocked kernels. Every path produces
+/// bitwise-identical output (see module docs).
 pub(crate) fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -154,27 +153,6 @@ pub(crate) fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, ou
     let work = m * k * n;
     let reference = matmul_kernel() == MatmulKernel::Reference;
     let threads = pool::num_threads();
-
-    if m == 1 {
-        if !reference && work >= PAR_MATMUL_MIN_WORK && threads > 1 {
-            // Single-row fast path: there is only one output row, so fan
-            // out over *column* chunks of it instead of rows. Each chunk's
-            // cells still run the full k loop in order, so the result is
-            // bitwise identical to the serial row kernel.
-            let chunk = n.div_ceil(4 * threads).max(1);
-            pool::parallel_for_chunks(out, chunk, |offset, part| {
-                for (kk, &a_ik) in a.iter().enumerate() {
-                    let b_part = &b[kk * n + offset..kk * n + offset + part.len()];
-                    for (o, &bv) in part.iter_mut().zip(b_part) {
-                        *o += a_ik * bv;
-                    }
-                }
-            });
-        } else {
-            scalar_row_into(a, b, n, out);
-        }
-        return;
-    }
 
     if !reference && m >= MR && work >= BLOCKED_MIN_WORK {
         // The pack scratch is reused across calls (thread-local) so the

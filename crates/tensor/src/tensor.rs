@@ -150,8 +150,8 @@ impl Tensor {
     /// Matrix product `self @ other`.
     ///
     /// Dispatches through [`crate::matmul`]: a scalar i-k-j reference
-    /// loop, a column-chunked single-row path for `[1, K]` products, and
-    /// a cache-blocked packed-B kernel for larger shapes. All paths keep
+    /// loop (fanned out over row chunks for large products) and a
+    /// cache-blocked packed-B kernel for larger shapes. All paths keep
     /// the per-output-cell reduction order of the scalar loop, so the
     /// result is bitwise identical regardless of kernel selection
     /// ([`crate::matmul::set_matmul_kernel`]) or thread count.

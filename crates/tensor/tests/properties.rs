@@ -295,35 +295,6 @@ fn blocked_matmul_matches_reference_kernel_on_odd_shapes() {
 }
 
 #[test]
-fn single_row_matmul_parallelizes_bitwise_identically() {
-    let _guard = KernelGuard::new();
-    // Regression for the old `rows >= 2` fan-out guard: a 1×K @ K×V
-    // product (the decoder's vocab projection — the hottest serving
-    // shape) must engage the column-chunked parallel path and still be
-    // bitwise equal to the serial reference.
-    for case in 0..4 {
-        let mut rng = case_rng(13, case);
-        let k = rng.gen_range(256..640usize);
-        let v = rng.gen_range(1024..2048usize);
-        let a = arb_tensor(&mut rng, 1, k);
-        let b = arb_tensor(&mut rng, k, v);
-        set_matmul_kernel(MatmulKernel::Reference);
-        pool::set_threads(1);
-        let serial = a.matmul(&b);
-        set_matmul_kernel(MatmulKernel::Auto);
-        for threads in [2, 3, 8] {
-            pool::set_threads(threads);
-            let parallel = a.matmul(&b);
-            assert!(
-                bitwise_eq(&serial, &parallel),
-                "case {case} (1x{k} @ {k}x{v}): {threads}-thread single-row \
-                 matmul differs from serial"
-            );
-        }
-    }
-}
-
-#[test]
 fn matmul_sparse_lhs_matches_dense_at_blocked_sizes() {
     // The sparse-LHS path skips zero entries, which is only exact because
     // dense accumulation of `0.0 * finite` terms is also exact; this must

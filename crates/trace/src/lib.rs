@@ -100,7 +100,8 @@ fn resolve_from_env() -> bool {
     on
 }
 
-/// Programmatic override of the `NLIDB_TRACE` gate (tests, smoke bins).
+/// Programmatic override of the `NLIDB_TRACE` gate (tests, the serving
+/// benchmark).
 pub fn set_enabled(on: bool) {
     STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
 }
@@ -230,8 +231,8 @@ pub fn series(name: &'static str, value: f64) {
 }
 
 /// Reads the current value of a named counter (0 when absent or when
-/// tracing never recorded it). Lets tests and smoke binaries assert on
-/// counters (e.g. `serve.cache.hits`) without parsing a snapshot.
+/// tracing never recorded it). Lets tests assert on counters (e.g.
+/// `serve.cache.hits`) without parsing a snapshot.
 pub fn counter(name: &str) -> u64 {
     registry().counters.get(name).copied().unwrap_or(0)
 }

@@ -30,11 +30,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline
 cargo run -q --release --offline -p nlidb-lint -- --format=json
 
 # The full suite twice: once pinned to the exact serial path, once with
-# the pool at its default width. The threading contract (DESIGN.md
-# "Threading & determinism") promises bitwise-identical results either
-# way, so both runs must be green.
-NLIDB_THREADS=1 cargo test -q --offline --workspace
-cargo test -q --offline --workspace
+# the pool at its default width. The root manifest's `default-members`
+# makes a plain `cargo test` cover every crate, so this is the same suite
+# tier-1 runs. The threading contract (DESIGN.md "Threading &
+# determinism") promises bitwise-identical results either way, so both
+# runs must be green.
+NLIDB_THREADS=1 cargo test -q --offline
+cargo test -q --offline
 
 # Bench smoke: confirms the component benchmarks (including the
 # serial-vs-parallel matmul / train-step entries) run end to end and
@@ -49,42 +51,5 @@ NLIDB_BENCH_SMOKE=1 cargo bench -q --offline -p nlidb-bench
 # at results/bench_baseline.json.
 cargo run -q --release --offline -p nlidb-bench --bin bench_gate -- \
     crates/bench/results/bench_components.json results/bench_baseline.json
-
-# Trace smoke: trains a tiny end-to-end system with NLIDB_TRACE off and
-# on, asserts byte-identical parameters/predictions either way, and
-# checks that results/trace_trace_smoke.json parses with nlidb-json and
-# carries every promised instrument family (DESIGN.md "Observability").
-NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin trace_smoke
-
-# Serve smoke: batched serving on a tiny dataset must produce outputs
-# identical to the sequential per-example path (cache off / warm /
-# capacity-1), emit the serve.* trace families, and beat cold batch-1
-# serving by at least 2x per request on a repeated-table workload
-# (DESIGN.md "Serving & batching").
-NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin serve_smoke
-
-# Guided smoke: execution-guided decoding. Guidance-off decoding must be
-# byte-identical to the pre-guidance path, every guided prediction over a
-# fresh sharded corpus must execute without ExecError (or be the
-# documented unguided last resort), passing top candidates must be
-# committed unchanged, and the decode.guide.* trace families must appear
-# next to the storage.* executor counters (DESIGN.md "Execution-guided
-# decoding").
-NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin guided_smoke
-
-# Server smoke: replays a fixed request log against the TCP server under
-# different inference thread counts, connection counts, and micro-batch
-# timings — every response line must be byte-identical — and asserts the
-# server.* trace families (DESIGN.md "Multi-tenant serving").
-NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin server_smoke
-
-# Corpus smoke: the sharded corpus plane end to end. Writes a small
-# corpus at two pool widths (byte-identical files), regenerates every
-# shard in isolation (byte-identical to the fan-out's output), trains
-# once streamed from disk (checkpoint byte-identical to the in-memory
-# sharded source, peak example residency bounded by one shard), then
-# repeats the isolation/residency checks on a ~1e5-question corpus
-# (DESIGN.md "Sharded corpus plane").
-cargo run -q --release --offline -p nlidb-bench --bin corpus_smoke
 
 echo "verify: OK"

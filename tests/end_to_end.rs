@@ -108,6 +108,7 @@ fn batched_serving_matches_sequential_and_reports_cache_traffic() {
     let hits = nlidb_trace::counter("serve.cache.hits");
     let misses = nlidb_trace::counter("serve.cache.misses");
     let requests_seen = nlidb_trace::counter("serve.requests");
+    let snap = nlidb_trace::snapshot("batched_serving");
     nlidb_trace::set_enabled(false);
 
     // Byte-identical to the sequential path, in request order.
@@ -129,6 +130,14 @@ fn batched_serving_matches_sequential_and_reports_cache_traffic() {
     assert!(misses >= 1, "first pass must record misses");
     assert_eq!(engine.cache().hits(), hits, "engine and trace store disagree on hits");
     assert_eq!(engine.cache().misses(), misses, "engine and trace store disagree on misses");
+
+    // The serving stages and the grouping/dedup/insertion counters.
+    for name in ["serve.batch", "serve.group", "serve.context", "serve.predict"] {
+        assert!(snap.get("spans").and_then(|s| s.get(name)).is_some(), "missing span {name}");
+    }
+    for name in ["serve.groups", "serve.dedup", "serve.cache.insertions"] {
+        assert!(nlidb_trace::counter(name) > 0, "counter {name} never fired");
+    }
 }
 
 #[test]
