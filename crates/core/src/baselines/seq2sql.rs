@@ -9,7 +9,7 @@
 //! selected from raw text without any notion of mention slots.
 
 use nlidb_data::{Example, SlotRole};
-use nlidb_neural::{BahdanauAttention, BiGru, Embedding, GruCell, Linear};
+use nlidb_neural::{BahdanauAttention, Cell, Embedding, GruCell, Linear, Rnn};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
@@ -156,7 +156,7 @@ pub struct Seq2Sql {
     pub store: ParamStore,
     vocab: Vocab,
     emb: Embedding,
-    encoder: BiGru,
+    encoder: Rnn<GruCell>,
     dec_cell: GruCell,
     attn: BahdanauAttention,
     d0_proj: Linear,
@@ -172,7 +172,7 @@ impl Seq2Sql {
         let mut store = ParamStore::new();
         let table = crate::embed_init::pretrained_table(&vocab, space, cfg.word_dim, cfg.seed);
         let emb = Embedding::from_pretrained(&mut store, "ss.emb", table);
-        let encoder = BiGru::new(&mut store, "ss.enc", cfg.word_dim, cfg.hidden, 1, &mut rng);
+        let encoder = Rnn::new(&mut store, "ss.enc", cfg.word_dim, cfg.hidden, 1, true, &mut rng);
         let mem = encoder.out_dim();
         let dec_hidden = 2 * cfg.hidden;
         let dec_cell =
@@ -189,6 +189,36 @@ impl Seq2Sql {
         crate::train::fit_slice(self, examples, epochs)
     }
 
+    /// Embeds and encodes the augmented input `ids`, shared by training
+    /// and inference: returns `(H, d_0)` with `d_0 = tanh(W [h⃗_N ; h⃖_1])`.
+    fn encode(&self, g: &mut Graph, ids: &[usize]) -> (NodeId, NodeId) {
+        let x = self.emb.forward(g, &self.store, ids);
+        let h = self.encoder.forward(g, &self.store, x);
+        let summary = self.encoder.final_summary(g, h);
+        let d0_lin = self.d0_proj.forward(g, &self.store, summary);
+        (h, g.tanh(d0_lin))
+    }
+
+    /// One pointer step, shared by training and inference: the GRU reads
+    /// `[φ(prev_id) ; β_{i-1}]`, and the new state's raw attention scores
+    /// over the augmented input are the pointer logits. Returns `d_i`,
+    /// `β_i` and the `[1, n]` logits.
+    fn step(
+        &self,
+        g: &mut Graph,
+        h: NodeId,
+        d_prev: NodeId,
+        beta_prev: NodeId,
+        prev_id: usize,
+    ) -> (NodeId, NodeId, NodeId) {
+        let prev_emb = self.emb.forward(g, &self.store, &[prev_id]);
+        let dec_in = g.hcat(prev_emb, beta_prev);
+        let d = self.dec_cell.step(g, &self.store, dec_in, d_prev);
+        let att = self.attn.forward(g, &self.store, h, d);
+        let logits = g.transpose(att.scores);
+        (d, att.context, logits)
+    }
+
     /// Greedy pointer decoding followed by parse-back.
     pub fn predict(&self, question: &[String], table: &Table) -> Option<Query> {
         if question.is_empty() || table.num_cols() == 0 {
@@ -197,30 +227,16 @@ impl Seq2Sql {
         let aug = augment(question, table);
         let ids: Vec<usize> = aug.tokens.iter().map(|t| self.vocab.id(t)).collect();
         let mut g = Graph::new();
-        let x = self.emb.forward(&mut g, &self.store, &ids);
-        let h_node = self.encoder.forward(&mut g, &self.store, x);
-        let summary = self.encoder.final_summary(&mut g, h_node);
-        let d0_lin = self.d0_proj.forward(&mut g, &self.store, summary);
-        let d0 = g.tanh(d0_lin);
-        let h = g.value(h_node).clone();
-        let mut d = g.value(d0).clone();
-        let mut beta = Tensor::zeros(1, self.encoder.out_dim());
+        let (h, mut d) = self.encode(&mut g, &ids);
+        let mut beta = g.leaf(Tensor::zeros(1, self.encoder.out_dim()));
         let mut prev_pos = kw_pos("select");
         let mut out_tokens: Vec<String> = Vec::new();
         for _ in 0..MAX_PTR_STEPS {
-            let mut sg = Graph::new();
-            let h_leaf = sg.leaf(h.clone());
-            let d_leaf = sg.leaf(d.clone());
-            let b_leaf = sg.leaf(beta.clone());
             let prev_id = self.vocab.id(&aug.tokens[prev_pos]);
-            let prev_emb = self.emb.forward(&mut sg, &self.store, &[prev_id]);
-            let dec_in = sg.hcat(prev_emb, b_leaf);
-            let nd = self.dec_cell.step(&mut sg, &self.store, dec_in, d_leaf);
-            let att = self.attn.forward(&mut sg, &self.store, h_leaf, nd);
-            let scores_row = sg.transpose(att.scores);
-            let next = sg.value(scores_row).argmax_row(0);
-            d = sg.value(nd).clone();
-            beta = sg.value(att.context).clone();
+            let (d_next, context, logits) = self.step(&mut g, h, d, beta, prev_id);
+            let next = g.value(logits).argmax_row(0);
+            d = d_next;
+            beta = context;
             let tok = aug.tokens[next].clone();
             prev_pos = next;
             if tok == "</s>" {
@@ -257,22 +273,15 @@ impl Fit for Seq2Sql {
         let aug = augment(&e.question, &e.table);
         let gold = gold_positions(e, &aug)?;
         let ids: Vec<usize> = aug.tokens.iter().map(|t| self.vocab.id(t)).collect();
-        let x = self.emb.forward(g, &self.store, &ids);
-        let h = self.encoder.forward(g, &self.store, x);
-        let summary = self.encoder.final_summary(g, h);
-        let d0_lin = self.d0_proj.forward(g, &self.store, summary);
-        let mut d = g.tanh(d0_lin);
+        let (h, mut d) = self.encode(g, &ids);
         let mut beta = g.leaf(Tensor::zeros(1, self.encoder.out_dim()));
         let mut prev_pos = kw_pos("select"); // BOS stand-in
         let mut losses = Vec::with_capacity(gold.len());
         for &tgt in &gold {
             let prev_id = self.vocab.id(&aug.tokens[prev_pos]);
-            let prev_emb = self.emb.forward(g, &self.store, &[prev_id]);
-            let dec_in = g.hcat(prev_emb, beta);
-            d = self.dec_cell.step(g, &self.store, dec_in, d);
-            let att = self.attn.forward(g, &self.store, h, d);
-            beta = att.context;
-            let logits = g.transpose(att.scores); // [1, n] pointer logits
+            let (d_next, context, logits) = self.step(g, h, d, beta, prev_id);
+            d = d_next;
+            beta = context;
             let lp = g.log_softmax_rows(logits);
             losses.push(g.pick_nll(lp, vec![tgt]));
             prev_pos = tgt;

@@ -10,7 +10,7 @@
 //! token embeddings (see [`crate::baselines::typesql`]).
 
 use nlidb_data::{Example, SlotRole};
-use nlidb_neural::{Activation, BahdanauAttention, BiGru, Embedding, Linear, Mlp};
+use nlidb_neural::{Activation, BahdanauAttention, Embedding, GruCell, Linear, Mlp, Rnn};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
@@ -38,7 +38,7 @@ pub struct SqlNet {
     emb: Embedding,
     type_emb: Option<Embedding>,
     type_fn: Option<TypeFn>,
-    q_enc: BiGru,
+    q_enc: Rnn<GruCell>,
     col_proj: Linear,
     agg_head: Mlp,
     ncond_head: Mlp,
@@ -70,7 +70,7 @@ impl SqlNet {
             .is_some()
             .then(|| Embedding::new(&mut store, "sn.type", N_TYPES, type_dim, &mut rng));
         let in_dim = cfg.word_dim + if type_fn.is_some() { type_dim } else { 0 };
-        let q_enc = BiGru::new(&mut store, "sn.enc", in_dim, cfg.hidden, 1, &mut rng);
+        let q_enc = Rnn::new(&mut store, "sn.enc", in_dim, cfg.hidden, 1, true, &mut rng);
         let mem = q_enc.out_dim();
         let col_dim = cfg.hidden;
         let col_proj = Linear::new(&mut store, "sn.col", cfg.word_dim, col_dim, &mut rng);

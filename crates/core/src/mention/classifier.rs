@@ -18,7 +18,8 @@
 //! the §IV-C adversarial method can read `dL/dE_word(w)` and
 //! `dL/dE_char(w)` after `backward`.
 
-use nlidb_neural::{Activation, BahdanauAttention, CharCnn, Embedding, Lstm, LstmCell, Mlp};
+use nlidb_neural::rnn::run;
+use nlidb_neural::{Activation, BahdanauAttention, Cell, CharCnn, Embedding, LstmCell, Mlp, Rnn};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{CharVocab, EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
@@ -37,8 +38,8 @@ pub struct MentionClassifier {
     vocab: Vocab,
     word_emb: Embedding,
     char_cnn: CharCnn,
-    q_lstm: Lstm,
-    c_lstm: Lstm,
+    q_lstm: Rnn<LstmCell>,
+    c_lstm: Rnn<LstmCell>,
     attn: BahdanauAttention,
     fwd_cell: LstmCell,
     bwd_cell: LstmCell,
@@ -76,8 +77,8 @@ impl MentionClassifier {
             &mut rng,
         );
         let emb_dim = cfg.emb_dim();
-        let q_lstm = Lstm::new(&mut store, "mc.q", emb_dim, cfg.hidden, 1, false, &mut rng);
-        let c_lstm = Lstm::new(&mut store, "mc.c", emb_dim, cfg.hidden, 1, true, &mut rng);
+        let q_lstm = Rnn::new(&mut store, "mc.q", emb_dim, cfg.hidden, 1, false, &mut rng);
+        let c_lstm = Rnn::new(&mut store, "mc.c", emb_dim, cfg.hidden, 1, true, &mut rng);
         let c_state = 2 * cfg.hidden;
         // Attention query is [s^c_t ; d_{t-1}].
         let attn = BahdanauAttention::new(
@@ -157,30 +158,16 @@ impl MentionClassifier {
         let s_c = self.c_lstm.forward(g, &self.store, c_emb); // [m, 2h]
 
         let m = column.len();
-        // Attention bi-LSTM over the column (§IV-B(iii)).
-        let mut states_fwd: Vec<NodeId> = Vec::with_capacity(m);
-        let mut states_bwd: Vec<NodeId> = Vec::with_capacity(m);
-        for (cell, states, reverse) in [
-            (&self.fwd_cell, &mut states_fwd, false),
-            (&self.bwd_cell, &mut states_bwd, true),
-        ] {
-            let (mut d, mut c_mem) = cell.zero_state(g);
-            let order: Vec<usize> =
-                if reverse { (0..m).rev().collect() } else { (0..m).collect() };
-            for t in order {
-                let s_ct = g.row(s_c, t);
-                let query = g.hcat(s_ct, d);
-                let att = self.attn.forward(g, &self.store, s_q, query);
-                let z = g.hcat(s_ct, att.context);
-                let (nd, nc) = cell.step(g, &self.store, z, d, c_mem);
-                d = nd;
-                c_mem = nc;
-                states.push(d);
-            }
-            if reverse {
-                states.reverse();
-            }
-        }
+        // Attention bi-LSTM over the column (§IV-B(iii)): step `t` reads
+        // z_t = [s^c_t ; attn(S^q, [s^c_t ; d_{t-1}])].
+        let z = |g: &mut Graph, t: usize, d: NodeId| {
+            let s_ct = g.row(s_c, t);
+            let query = g.hcat(s_ct, d);
+            let att = self.attn.forward(g, &self.store, s_q, query);
+            g.hcat(s_ct, att.context)
+        };
+        let states_fwd = run(g, &self.store, &self.fwd_cell, m, false, z);
+        let states_bwd = run(g, &self.store, &self.bwd_cell, m, true, z);
         // d_t = [fwd_t ; bwd_t], zero-padded to MAX_COL_WORDS, concatenated.
         let mut feat: Option<NodeId> = None;
         for t in 0..MAX_COL_WORDS {

@@ -191,7 +191,9 @@ impl MentionDetector {
         // One reusable tape for every per-column prediction in this call.
         let mut g = nlidb_tensor::Graph::new();
         for (ci, col_tokens) in ctx.name_tokens.iter().enumerate() {
-            if covered.contains(&ci) {
+            // A name with no tokens cannot be mentioned, and the
+            // classifier needs at least one column word.
+            if covered.contains(&ci) || col_tokens.is_empty() {
                 continue;
             }
             let p = self.classifier.predict_in(&mut g, question, col_tokens);
@@ -341,6 +343,29 @@ mod tests {
             hit as f32 / total as f32 > 0.45,
             "column coverage too low: {hit}/{total}"
         );
+    }
+
+    #[test]
+    fn blank_column_names_are_skipped_not_classified() {
+        // A column whose name tokenizes to nothing cannot be mentioned:
+        // detection and both prediction paths must answer on its table
+        // instead of handing the classifier an empty column.
+        let ds = generate(&WikiSqlConfig::tiny(52));
+        let opts = crate::NlidbOptions { model: ModelConfig::tiny(), ..Default::default() };
+        let nlidb = crate::Nlidb::train(&ds, opts);
+        let e = &ds.dev[0];
+        let mut columns = e.table.schema().columns().to_vec();
+        columns[0].name = String::new();
+        columns[1].name = "   ".into();
+        let mut table = Table::new("blank", nlidb_storage::Schema::new(columns));
+        for row in e.table.iter_rows() {
+            table.push_row(row.into_iter().cloned().collect());
+        }
+        for s in nlidb.detector.detect(&e.question, &table) {
+            assert!(s.column < table.num_cols());
+        }
+        let _ = nlidb.predict(&e.question, &table);
+        let _ = nlidb.predict_guided(&e.question, &table);
     }
 
     #[test]

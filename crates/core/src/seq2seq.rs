@@ -13,7 +13,7 @@
 //! from a softmax over the full vocabulary and is what lets the model
 //! favor source placeholders over memorized tokens.
 
-use nlidb_neural::{BahdanauAttention, BiGru, Embedding, GruCell, Linear};
+use nlidb_neural::{AttentionOut, BahdanauAttention, Cell, Embedding, GruCell, Linear, Rnn};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
 use nlidb_text::{EmbeddingSpace, Vocab};
 use nlidb_tensor::Rng;
@@ -70,7 +70,7 @@ pub struct Seq2Seq {
     out_vocab: OutVocab,
     emb: Embedding,
     out_emb: Embedding,
-    encoder: BiGru,
+    encoder: Rnn<GruCell>,
     dec_cell: GruCell,
     attn: BahdanauAttention,
     d0_proj: Linear,
@@ -94,8 +94,15 @@ impl Seq2Seq {
         let emb = Embedding::from_pretrained(&mut store, "s2s.emb", table);
         let out_emb =
             Embedding::new(&mut store, "s2s.out_emb", out_vocab.len(), cfg.word_dim, &mut rng);
-        let encoder =
-            BiGru::new(&mut store, "s2s.enc", cfg.word_dim, cfg.hidden, cfg.enc_layers, &mut rng);
+        let encoder = Rnn::new(
+            &mut store,
+            "s2s.enc",
+            cfg.word_dim,
+            cfg.hidden,
+            cfg.enc_layers,
+            true,
+            &mut rng,
+        );
         let mem_dim = encoder.out_dim();
         // Paper: decoder hidden is 2 × encoder hidden.
         let dec_hidden = 2 * cfg.hidden;
@@ -141,29 +148,52 @@ impl Seq2Seq {
         m
     }
 
-    /// Teacher-forced loss for one item (differentiable).
-    pub fn forward_loss(&self, g: &mut Graph, item: &Seq2SeqItem) -> NodeId {
-        assert!(!item.src.is_empty() && !item.tgt.is_empty());
-        let src_emb = self.emb.forward(g, &self.store, &item.src);
+    /// The §V-B encoder, shared by training and inference: embeds `src`,
+    /// runs the bi-GRU stack into `H`, and initializes the decoder with
+    /// `d_0 = tanh(W_1 [h⃗_N ; h⃖_1])`. Returns `(H, d_0)`.
+    fn encode(&self, g: &mut Graph, src: &[usize]) -> (NodeId, NodeId) {
+        let src_emb = self.emb.forward(g, &self.store, src);
         let h = self.encoder.forward(g, &self.store, src_emb);
         let summary = self.encoder.final_summary(g, h);
         let d0_lin = self.d0_proj.forward(g, &self.store, summary);
-        let mut d = g.tanh(d0_lin);
-        let mem_dim = self.encoder.out_dim();
-        let mut beta = g.leaf(Tensor::zeros(1, mem_dim));
+        (h, g.tanh(d0_lin))
+    }
+
+    /// One §V-B decoder step, shared by training and inference: the GRU
+    /// reads `[φ(prev_tok) ; β_{i-1}]`, the new state `d_i` attends over
+    /// `H`, and `U[d_i, β_i]` scores the output vocabulary. Returns
+    /// `d_i`, the attention (context `β_i` and the raw scores the copy
+    /// mechanism adds), and the `[1, V]` logits.
+    fn step(
+        &self,
+        g: &mut Graph,
+        h: NodeId,
+        d_prev: NodeId,
+        beta_prev: NodeId,
+        prev_tok: usize,
+    ) -> (NodeId, AttentionOut, NodeId) {
+        let prev_emb = self.out_emb.forward(g, &self.store, &[prev_tok]);
+        let dec_in = g.hcat(prev_emb, beta_prev);
+        let d = self.dec_cell.step(g, &self.store, dec_in, d_prev);
+        let att = self.attn.forward(g, &self.store, h, d);
+        let feats = g.hcat(d, att.context);
+        let logits = self.u.forward(g, &self.store, feats);
+        (d, att, logits)
+    }
+
+    /// Teacher-forced loss for one item (differentiable).
+    pub fn forward_loss(&self, g: &mut Graph, item: &Seq2SeqItem) -> NodeId {
+        assert!(!item.src.is_empty() && !item.tgt.is_empty());
+        let (h, mut d) = self.encode(g, &item.src);
+        let mut beta = g.leaf(Tensor::zeros(1, self.encoder.out_dim()));
         let copy_m = if self.copy_enabled { Some(g.leaf(self.copy_matrix(&item.copy))) } else { None };
 
-        let bos = self.out_vocab.bos();
         let mut losses: Option<NodeId> = None;
-        let mut prev_tok = bos;
+        let mut prev_tok = self.out_vocab.bos();
         for &tgt in &item.tgt {
-            let prev_emb = self.out_emb.forward(g, &self.store, &[prev_tok]);
-            let dec_in = g.hcat(prev_emb, beta);
-            d = self.dec_cell.step(g, &self.store, dec_in, d);
-            let att = self.attn.forward(g, &self.store, h, d);
+            let (d_next, att, logits) = self.step(g, h, d, beta, prev_tok);
+            d = d_next;
             beta = att.context;
-            let feats = g.hcat(d, beta);
-            let logits = self.u.forward(g, &self.store, feats);
             let step_loss = match &copy_m {
                 None => {
                     let logp = g.log_softmax_rows(logits);
@@ -225,11 +255,7 @@ impl Seq2Seq {
     /// recycle one tape's buffers across the encode and every step.
     fn encode_values(&self, g: &mut Graph, src: &[usize]) -> (Tensor, Tensor, Tensor) {
         g.reset();
-        let src_emb = self.emb.forward(g, &self.store, src);
-        let h = self.encoder.forward(g, &self.store, src_emb);
-        let summary = self.encoder.final_summary(g, h);
-        let d0_lin = self.d0_proj.forward(g, &self.store, summary);
-        let d0 = g.tanh(d0_lin);
+        let (h, d0) = self.encode(g, src);
         (
             g.value(h).clone(),
             g.value(d0).clone(),
@@ -252,12 +278,7 @@ impl Seq2Seq {
         let h_node = g.leaf(h.clone());
         let d_node = g.leaf(d_prev.clone());
         let b_node = g.leaf(beta_prev.clone());
-        let prev_emb = self.out_emb.forward(g, &self.store, &[prev_tok]);
-        let dec_in = g.hcat(prev_emb, b_node);
-        let d = self.dec_cell.step(g, &self.store, dec_in, d_node);
-        let att = self.attn.forward(g, &self.store, h_node, d);
-        let feats = g.hcat(d, att.context);
-        let logits = self.u.forward(g, &self.store, feats);
+        let (d, att, logits) = self.step(g, h_node, d_node, b_node, prev_tok);
         let probs: Vec<f32> = match copy_m {
             None => {
                 let p = g.softmax_rows(logits);
@@ -286,38 +307,6 @@ impl Seq2Seq {
             }
         };
         (probs, g.value(d).clone(), g.value(att.context).clone())
-    }
-
-    /// Greedy decoding: equivalent to [`Self::decode_beam`] with width 1,
-    /// without carrying beam bookkeeping. Ties break to the lowest token
-    /// index (strict `>` keeps the first maximum), matching the beam
-    /// path's stable descending sort — `decode_beam1_matches_greedy` in
-    /// the regression suite pins this, including on exact score ties.
-    pub fn decode_greedy(&self, src: &[usize], copy: &[Option<usize>]) -> Vec<usize> {
-        let mut g = Graph::new();
-        let (h, mut d, mut beta) = self.encode_values(&mut g, src);
-        let copy_m = if self.copy_enabled { Some(self.copy_matrix(copy)) } else { None };
-        let eos = self.out_vocab.eos();
-        let bos = self.out_vocab.bos();
-        let mut seq = Vec::new();
-        for _ in 0..MAX_DECODE_LEN {
-            let prev = *seq.last().unwrap_or(&bos);
-            let (probs, d_next, beta_next) =
-                self.decode_step(&mut g, &h, &d, &beta, prev, &copy_m);
-            let mut best = 0;
-            for (tok, &p) in probs.iter().enumerate() {
-                if p > probs[best] {
-                    best = tok;
-                }
-            }
-            if best == eos {
-                break;
-            }
-            seq.push(best);
-            d = d_next;
-            beta = beta_next;
-        }
-        seq
     }
 
     /// Beam-search decoding (paper: width 5). Returns the best token
@@ -550,7 +539,7 @@ mod tests {
         let test = toy_data(&cfg, &vocab, &ov, 12, 99);
         let mut exact = 0;
         for item in &test {
-            let pred = model.decode_greedy(&item.src, &item.copy);
+            let pred = model.decode_beam(&item.src, &item.copy, 1);
             let mut gold = item.tgt.clone();
             gold.pop(); // strip EOS
             if pred == gold {
@@ -572,7 +561,7 @@ mod tests {
         for item in &test {
             let mut gold = item.tgt.clone();
             gold.pop();
-            if model.decode_greedy(&item.src, &item.copy) == gold {
+            if model.decode_beam(&item.src, &item.copy, 1) == gold {
                 greedy_ok += 1;
             }
             if model.decode_beam(&item.src, &item.copy, 5) == gold {

@@ -1,14 +1,13 @@
-//! GRU cells and stacked bi-directional GRU encoders (§V-B).
+//! The GRU cell of the §V-B seq2seq model.
 //!
 //! The paper's seq2seq encoder is a stacked bi-directional GRU with an
-//! affine transformation before each layer; the decoder is a single
-//! attentive GRU. [`GruCell`] provides the step function; [`BiGru`] the
-//! encoder stack.
+//! affine transformation before each layer (`Rnn<GruCell>`, see
+//! [`crate::rnn::Rnn`]); the decoder is a single attentive GRU.
+//! [`GruCell`] provides the step function for both.
 
-use nlidb_tensor::{GateAct, Graph, NodeId, ParamId, ParamStore, Tensor};
-use nlidb_tensor::Rng;
+use nlidb_tensor::{GateAct, Graph, NodeId, ParamId, ParamStore, Rng, Tensor};
 
-use crate::linear::Linear;
+use crate::rnn::Cell;
 
 /// A single GRU cell (Cho et al. 2014 formulation).
 #[derive(Debug, Clone)]
@@ -17,13 +16,14 @@ pub struct GruCell {
     wx: [ParamId; 3],
     wh: [ParamId; 3],
     b: [ParamId; 3],
-    in_dim: usize,
     hidden: usize,
 }
 
-impl GruCell {
-    /// Creates a cell mapping `[1, in_dim]` inputs to `[1, hidden]` states.
-    pub fn new(
+impl Cell for GruCell {
+    /// The hidden state `h`.
+    type State = NodeId;
+
+    fn new(
         store: &mut ParamStore,
         prefix: &str,
         in_dim: usize,
@@ -40,17 +40,11 @@ impl GruCell {
         let (rx, rh, rb) = gate(store, "r", rng);
         let (zx, zh, zb) = gate(store, "z", rng);
         let (nx, nh, nb) = gate(store, "n", rng);
-        GruCell { wx: [rx, zx, nx], wh: [rh, zh, nh], b: [rb, zb, nb], in_dim, hidden }
+        GruCell { wx: [rx, zx, nx], wh: [rh, zh, nh], b: [rb, zb, nb], hidden }
     }
 
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
+    fn zero_state(&self, g: &mut Graph) -> NodeId {
+        g.leaf(Tensor::zeros(1, self.hidden))
     }
 
     /// One step: `h = GRU(x, h_prev)`, via the fused gate kernels.
@@ -59,7 +53,7 @@ impl GruCell {
     /// are bitwise-identical (forward and backward) to the unfused
     /// composition kept in [`GruCell::step_reference`]; the differential
     /// test `fused_step_matches_reference_bitwise` pins the equivalence.
-    pub fn step(&self, g: &mut Graph, store: &ParamStore, x: NodeId, h_prev: NodeId) -> NodeId {
+    fn step(&self, g: &mut Graph, store: &ParamStore, x: NodeId, h_prev: NodeId) -> NodeId {
         let gate = |g: &mut Graph, idx: usize, h: NodeId, act: GateAct| {
             let wx = g.param(store, self.wx[idx]);
             let wh = g.param(store, self.wh[idx]);
@@ -75,6 +69,12 @@ impl GruCell {
         g.fused_gru_combine(z, n, h_prev)
     }
 
+    fn output(h: NodeId) -> NodeId {
+        h
+    }
+}
+
+impl GruCell {
     /// The unfused composition [`GruCell::step`] replaced: one tape node
     /// per primitive op. Kept as the reference implementation for the
     /// fused-kernel differential tests; not used on hot paths.
@@ -109,119 +109,16 @@ impl GruCell {
         let b2 = g.mul(z, h_prev);
         g.add(a, b2)
     }
-
-    /// Zero initial state.
-    pub fn zero_state(&self, g: &mut Graph) -> NodeId {
-        g.leaf(Tensor::zeros(1, self.hidden))
-    }
-}
-
-/// Runs a GRU cell over a `[n, d]` sequence, returning `[n, hidden]` states
-/// in input order; `reverse` processes right-to-left.
-pub fn run_gru(
-    g: &mut Graph,
-    store: &ParamStore,
-    cell: &GruCell,
-    xs: NodeId,
-    reverse: bool,
-) -> NodeId {
-    let n = g.value(xs).rows();
-    assert!(n > 0, "empty sequence");
-    let mut h = cell.zero_state(g);
-    let mut states = Vec::with_capacity(n);
-    let order: Vec<usize> = if reverse { (0..n).rev().collect() } else { (0..n).collect() };
-    for t in order {
-        let x = g.row(xs, t);
-        h = cell.step(g, store, x, h);
-        states.push(h);
-    }
-    if reverse {
-        states.reverse();
-    }
-    let mut out = states[0];
-    for &s in &states[1..] {
-        out = g.vcat(out, s);
-    }
-    out
-}
-
-/// Stacked bi-directional GRU encoder with per-layer affine transforms,
-/// mirroring the paper's encoder equations.
-#[derive(Debug, Clone)]
-pub struct BiGru {
-    affines: Vec<Linear>,
-    forward_cells: Vec<GruCell>,
-    backward_cells: Vec<GruCell>,
-    hidden: usize,
-}
-
-impl BiGru {
-    /// Builds the encoder stack.
-    pub fn new(
-        store: &mut ParamStore,
-        prefix: &str,
-        in_dim: usize,
-        hidden: usize,
-        layers: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        assert!(layers >= 1, "bigru needs at least one layer");
-        let mut affines = Vec::with_capacity(layers);
-        let mut forward_cells = Vec::with_capacity(layers);
-        let mut backward_cells = Vec::with_capacity(layers);
-        for l in 0..layers {
-            let d_in = if l == 0 { in_dim } else { 2 * hidden };
-            affines.push(Linear::new(store, &format!("{prefix}.aff{l}"), d_in, hidden, rng));
-            forward_cells.push(GruCell::new(store, &format!("{prefix}.fwd{l}"), hidden, hidden, rng));
-            backward_cells.push(GruCell::new(store, &format!("{prefix}.bwd{l}"), hidden, hidden, rng));
-        }
-        BiGru { affines, forward_cells, backward_cells, hidden }
-    }
-
-    /// Output row width (`2 * hidden`).
-    pub fn out_dim(&self) -> usize {
-        2 * self.hidden
-    }
-
-    /// Hidden width per direction.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Encodes `[n, in_dim]` to `[n, 2*hidden]`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: NodeId) -> NodeId {
-        let mut h = xs;
-        for (l, affine) in self.affines.iter().enumerate() {
-            let projected = affine.forward(g, store, h);
-            let fwd = run_gru(g, store, &self.forward_cells[l], projected, false);
-            let bwd = run_gru(g, store, &self.backward_cells[l], projected, true);
-            h = g.hcat(fwd, bwd);
-        }
-        h
-    }
-
-    /// The `[h_fwd_last, h_bwd_first]` pair the paper uses to initialize
-    /// the decoder: row `n-1`'s forward half concatenated with row 0's
-    /// backward half, extracted from the encoder output matrix.
-    pub fn final_summary(&self, g: &mut Graph, encoded: NodeId) -> NodeId {
-        let n = g.value(encoded).rows();
-        let last = g.row(encoded, n - 1);
-        let first = g.row(encoded, 0);
-        // encoded rows are [fwd | bwd]; take fwd of last, bwd of first.
-        let h = self.hidden;
-        let last_t = g.transpose(last);
-        let fwd = g.row_slice(last_t, 0, h);
-        let first_t = g.transpose(first);
-        let bwd = g.row_slice(first_t, h, 2 * h);
-        let stacked = g.vcat(fwd, bwd);
-        g.transpose(stacked)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::Linear;
+    use crate::rnn::{run, Rnn};
     use nlidb_tensor::optim::Adam;
+
+    type BiGru = Rnn<GruCell>;
 
     fn rng() -> Rng {
         Rng::seed_from_u64(11)
@@ -252,7 +149,7 @@ mod tests {
     #[test]
     fn bigru_shapes_and_summary() {
         let mut store = ParamStore::new();
-        let enc = BiGru::new(&mut store, "e", 4, 3, 2, &mut rng());
+        let enc = BiGru::new(&mut store, "e", 4, 3, 2, true, &mut rng());
         assert_eq!(enc.out_dim(), 6);
         let mut g = Graph::new();
         let xs = g.leaf(Tensor::zeros(5, 4));
@@ -265,7 +162,7 @@ mod tests {
     #[test]
     fn final_summary_selects_correct_halves() {
         let mut store = ParamStore::new();
-        let enc = BiGru::new(&mut store, "e", 2, 2, 1, &mut rng());
+        let enc = BiGru::new(&mut store, "e", 2, 2, 1, true, &mut rng());
         let mut g = Graph::new();
         // Hand-craft an "encoded" matrix: rows [fwd | bwd] with known values.
         let encoded = g.leaf(Tensor::from_vec(
@@ -333,8 +230,8 @@ mod tests {
         let cell = GruCell::new(&mut store, "g", 1, 4, &mut rng());
         let mut g = Graph::new();
         let xs = g.input(Tensor::from_vec(6, 1, vec![0.5; 6]));
-        let states = run_gru(&mut g, &store, &cell, xs, false);
-        let last = g.row(states, 5);
+        let states = run(&mut g, &store, &cell, 6, false, |g, t, _| g.row(xs, t));
+        let last = states[5];
         let loss = g.sum_all(last);
         g.backward(loss);
         let grad = g.grad(xs).unwrap();
@@ -358,8 +255,8 @@ mod tests {
             let label = seq[3];
             let mut g = Graph::new();
             let xs = g.leaf(Tensor::from_vec(4, 1, seq));
-            let states = run_gru(&mut g, &store, &cell, xs, false);
-            let last = g.row(states, 3);
+            let states = run(&mut g, &store, &cell, 4, false, |g, t, _| g.row(xs, t));
+            let last = states[3];
             let logit = head.forward(&mut g, &store, last);
             let loss = g.bce_with_logits(logit, Tensor::row_vector(&[label]));
             last_loss = g.value(loss).scalar();

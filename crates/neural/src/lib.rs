@@ -8,9 +8,11 @@
 //! - [`embedding::Embedding`] / [`embedding::CharCnn`] — the word embedder
 //!   of §IV-B(i): pre-trained word vectors concatenated with a multi-width
 //!   character convolution.
-//! - [`lstm::LstmCell`] / [`lstm::Lstm`] — the §IV-B(ii) stacked
-//!   (bi-directional) LSTM sequence models with per-layer affine inputs.
-//! - [`gru::GruCell`] / [`gru::BiGru`] — the §V-B seq2seq encoder stack.
+//! - [`rnn::Cell`] / [`rnn::run`] / [`rnn::Rnn`] — the one recurrence:
+//!   a cell's step function, the only loop that steps a cell over a
+//!   sequence, and the stacked, optionally bi-directional layer with a
+//!   per-layer affine input. [`LstmCell`] builds the §IV-B(ii) LSTMs and
+//!   [`GruCell`] the §V-B seq2seq encoder and decoder.
 //! - [`attention::BahdanauAttention`] — additive attention used by both the
 //!   §IV-B(iii) classifier head and the §V-B decoder (whose raw scores also
 //!   feed the copy mechanism).
@@ -29,10 +31,12 @@ pub mod embedding;
 pub mod gru;
 pub mod linear;
 pub mod lstm;
+pub mod rnn;
 
 pub use attention::{AttentionOut, BahdanauAttention};
 pub use dropout::dropout;
 pub use embedding::{CharCnn, Embedding};
-pub use gru::{run_gru, BiGru, GruCell};
+pub use gru::GruCell;
 pub use linear::{Activation, Linear, Mlp};
-pub use lstm::{run_lstm, Lstm, LstmCell};
+pub use lstm::LstmCell;
+pub use rnn::{Cell, Rnn};

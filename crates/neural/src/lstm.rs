@@ -1,13 +1,12 @@
-//! LSTM cells and (bi-directional, stacked) sequence models (§IV-B(ii)).
+//! The LSTM cell of the §IV-B(ii) sequence models.
 //!
 //! The paper stacks multi-layer LSTMs on top of the word embedder, with an
-//! affine transformation `L^l(x) = W_0^l x + b_0^l` before each layer to
-//! keep dimensions consistent; [`Lstm`] reproduces that structure.
+//! affine transformation before each layer; `Rnn<LstmCell>`
+//! ([`crate::rnn::Rnn`]) reproduces that structure.
 
-use nlidb_tensor::{Graph, NodeId, ParamId, ParamStore, Tensor};
-use nlidb_tensor::Rng;
+use nlidb_tensor::{GateAct, Graph, NodeId, ParamId, ParamStore, Rng, Tensor};
 
-use crate::linear::Linear;
+use crate::rnn::Cell;
 
 /// A single LSTM cell with separate gate weight matrices.
 #[derive(Debug, Clone)]
@@ -16,13 +15,14 @@ pub struct LstmCell {
     wx: [ParamId; 4],
     wh: [ParamId; 4],
     b: [ParamId; 4],
-    in_dim: usize,
     hidden: usize,
 }
 
-impl LstmCell {
-    /// Creates a cell mapping `[1, in_dim]` inputs to `[1, hidden]` states.
-    pub fn new(
+impl Cell for LstmCell {
+    /// `(h, C)`: the hidden output and the memory cell.
+    type State = (NodeId, NodeId);
+
+    fn new(
         store: &mut ParamStore,
         prefix: &str,
         in_dim: usize,
@@ -44,51 +44,36 @@ impl LstmCell {
         for v in store.get_mut(fb).data_mut() {
             *v = 1.0;
         }
-        LstmCell {
-            wx: [ix, fx, ox, gx],
-            wh: [ih, fh, oh, gh],
-            b: [ib, fb, ob, gb],
-            in_dim,
-            hidden,
-        }
+        LstmCell { wx: [ix, fx, ox, gx], wh: [ih, fh, oh, gh], b: [ib, fb, ob, gb], hidden }
     }
 
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
+    fn zero_state(&self, g: &mut Graph) -> (NodeId, NodeId) {
+        let h = g.leaf(Tensor::zeros(1, self.hidden));
+        let c = g.leaf(Tensor::zeros(1, self.hidden));
+        (h, c)
     }
 
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// One step: `(h, C) = LSTM(x, h_prev, C_prev)`.
-    pub fn step(
+    /// One step: `(h, C) = LSTM(x, h_prev, C_prev)`, each gate one
+    /// [`Graph::fused_gate`] node, which is bitwise-identical (forward and
+    /// backward) to composing `act((x @ wx + h @ wh) + b)` from primitive
+    /// ops.
+    fn step(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         x: NodeId,
-        h_prev: NodeId,
-        c_prev: NodeId,
+        (h_prev, c_prev): (NodeId, NodeId),
     ) -> (NodeId, NodeId) {
-        let gate = |g: &mut Graph, idx: usize| {
+        let gate = |g: &mut Graph, idx: usize, act: GateAct| {
             let wx = g.param(store, self.wx[idx]);
             let wh = g.param(store, self.wh[idx]);
             let b = g.param(store, self.b[idx]);
-            let xw = g.matmul(x, wx);
-            let hw = g.matmul(h_prev, wh);
-            let s = g.add(xw, hw);
-            g.add(s, b)
+            g.fused_gate(x, wx, h_prev, wh, b, act)
         };
-        let i_lin = gate(g, 0);
-        let f_lin = gate(g, 1);
-        let o_lin = gate(g, 2);
-        let c_lin = gate(g, 3);
-        let i = g.sigmoid(i_lin);
-        let f = g.sigmoid(f_lin);
-        let o = g.sigmoid(o_lin);
-        let cand = g.tanh(c_lin);
+        let i = gate(g, 0, GateAct::Sigmoid);
+        let f = gate(g, 1, GateAct::Sigmoid);
+        let o = gate(g, 2, GateAct::Sigmoid);
+        let cand = gate(g, 3, GateAct::Tanh);
         let keep = g.mul(f, c_prev);
         let write = g.mul(i, cand);
         let c = g.add(keep, write);
@@ -97,118 +82,7 @@ impl LstmCell {
         (h, c)
     }
 
-    /// Zero initial `(h, C)` state.
-    pub fn zero_state(&self, g: &mut Graph) -> (NodeId, NodeId) {
-        let h = g.leaf(Tensor::zeros(1, self.hidden));
-        let c = g.leaf(Tensor::zeros(1, self.hidden));
-        (h, c)
-    }
-}
-
-/// Runs a cell over a `[n, d]` sequence node, returning all hidden states
-/// stacked as `[n, hidden]`. `reverse` runs right-to-left (states are
-/// returned in *input* order either way).
-pub fn run_lstm(
-    g: &mut Graph,
-    store: &ParamStore,
-    cell: &LstmCell,
-    xs: NodeId,
-    reverse: bool,
-) -> NodeId {
-    let n = g.value(xs).rows();
-    assert!(n > 0, "empty sequence");
-    let (mut h, mut c) = cell.zero_state(g);
-    let mut states: Vec<NodeId> = Vec::with_capacity(n);
-    let order: Vec<usize> = if reverse { (0..n).rev().collect() } else { (0..n).collect() };
-    for t in order {
-        let x = g.row(xs, t);
-        let (nh, nc) = cell.step(g, store, x, h, c);
-        h = nh;
-        c = nc;
-        states.push(h);
-    }
-    if reverse {
-        states.reverse();
-    }
-    let mut out = states[0];
-    for &s in &states[1..] {
-        out = g.vcat(out, s);
-    }
-    out
-}
-
-/// A stacked, optionally bi-directional LSTM with a per-layer affine
-/// input transform, as in §IV-B(ii).
-#[derive(Debug, Clone)]
-pub struct Lstm {
-    affines: Vec<Linear>,
-    forward_cells: Vec<LstmCell>,
-    backward_cells: Vec<LstmCell>,
-    hidden: usize,
-    bidirectional: bool,
-}
-
-impl Lstm {
-    /// Builds the model. Each layer: affine to `hidden`, then LSTM cell(s).
-    pub fn new(
-        store: &mut ParamStore,
-        prefix: &str,
-        in_dim: usize,
-        hidden: usize,
-        layers: usize,
-        bidirectional: bool,
-        rng: &mut Rng,
-    ) -> Self {
-        assert!(layers >= 1, "lstm needs at least one layer");
-        let mut affines = Vec::with_capacity(layers);
-        let mut forward_cells = Vec::with_capacity(layers);
-        let mut backward_cells = Vec::new();
-        let layer_out = if bidirectional { 2 * hidden } else { hidden };
-        for l in 0..layers {
-            let d_in = if l == 0 { in_dim } else { layer_out };
-            affines.push(Linear::new(store, &format!("{prefix}.aff{l}"), d_in, hidden, rng));
-            forward_cells.push(LstmCell::new(
-                store,
-                &format!("{prefix}.fwd{l}"),
-                hidden,
-                hidden,
-                rng,
-            ));
-            if bidirectional {
-                backward_cells.push(LstmCell::new(
-                    store,
-                    &format!("{prefix}.bwd{l}"),
-                    hidden,
-                    hidden,
-                    rng,
-                ));
-            }
-        }
-        Lstm { affines, forward_cells, backward_cells, hidden, bidirectional }
-    }
-
-    /// Width of each output state row.
-    pub fn out_dim(&self) -> usize {
-        if self.bidirectional {
-            2 * self.hidden
-        } else {
-            self.hidden
-        }
-    }
-
-    /// Runs the full stack over `[n, in_dim]`, returning `[n, out_dim]`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: NodeId) -> NodeId {
-        let mut h = xs;
-        for (l, affine) in self.affines.iter().enumerate() {
-            let projected = affine.forward(g, store, h);
-            let fwd = run_lstm(g, store, &self.forward_cells[l], projected, false);
-            h = if self.bidirectional {
-                let bwd = run_lstm(g, store, &self.backward_cells[l], projected, true);
-                g.hcat(fwd, bwd)
-            } else {
-                fwd
-            };
-        }
+    fn output((h, _): (NodeId, NodeId)) -> NodeId {
         h
     }
 }
@@ -216,7 +90,11 @@ impl Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::Linear;
+    use crate::rnn::{run, Rnn};
     use nlidb_tensor::optim::Adam;
+
+    type Lstm = Rnn<LstmCell>;
 
     fn rng() -> Rng {
         Rng::seed_from_u64(3)
@@ -228,8 +106,8 @@ mod tests {
         let cell = LstmCell::new(&mut store, "c", 4, 6, &mut rng());
         let mut g = Graph::new();
         let x = g.leaf(Tensor::zeros(1, 4));
-        let (h0, c0) = cell.zero_state(&mut g);
-        let (h, c) = cell.step(&mut g, &store, x, h0, c0);
+        let state = cell.zero_state(&mut g);
+        let (h, c) = cell.step(&mut g, &store, x, state);
         assert_eq!(g.value(h).shape(), (1, 6));
         assert_eq!(g.value(c).shape(), (1, 6));
     }
@@ -240,13 +118,13 @@ mod tests {
         let cell = LstmCell::new(&mut store, "c", 2, 3, &mut rng());
         let mut g = Graph::new();
         let xs = g.leaf(Tensor::from_vec(4, 2, vec![1.0; 8]));
-        let fwd = run_lstm(&mut g, &store, &cell, xs, false);
-        let bwd = run_lstm(&mut g, &store, &cell, xs, true);
-        assert_eq!(g.value(fwd).shape(), (4, 3));
-        assert_eq!(g.value(bwd).shape(), (4, 3));
+        let fwd = run(&mut g, &store, &cell, 4, false, |g, t, _| g.row(xs, t));
+        let bwd = run(&mut g, &store, &cell, 4, true, |g, t, _| g.row(xs, t));
+        assert_eq!((fwd.len(), bwd.len()), (4, 4));
+        assert_eq!(g.value(fwd[0]).shape(), (1, 3));
         // For constant input, forward states grow over time; the reversed
         // run's *first returned row* is its last-processed state.
-        assert_eq!(g.value(fwd).row(0), g.value(bwd).row(3));
+        assert_eq!(g.value(fwd[0]), g.value(bwd[3]));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! Cases are drawn from the workspace PRNG with a fixed per-test seed, so
 //! every failure reproduces from the case index alone.
 
-use nlidb_neural::{Activation, BahdanauAttention, BiGru, CharCnn, Embedding, Linear, Lstm, Mlp};
+use nlidb_neural::{
+    Activation, BahdanauAttention, CharCnn, Embedding, GruCell, Linear, LstmCell, Mlp, Rnn,
+};
 use nlidb_tensor::{Graph, ParamStore, Rng, Tensor};
 
 const CASES: u64 = 24;
@@ -38,8 +40,8 @@ fn lstm_and_gru_shapes() {
         let d_in = rng.gen_range(1usize..5);
         let hidden = rng.gen_range(1usize..5);
         let mut store = ParamStore::new();
-        let lstm = Lstm::new(&mut store, "lstm", d_in, hidden, 1, true, &mut rng);
-        let enc = BiGru::new(&mut store, "gru", d_in, hidden, 1, &mut rng);
+        let lstm = Rnn::<LstmCell>::new(&mut store, "lstm", d_in, hidden, 1, true, &mut rng);
+        let enc = Rnn::<GruCell>::new(&mut store, "gru", d_in, hidden, 1, true, &mut rng);
         let mut g = Graph::new();
         let x = g.leaf(Tensor::uniform(n, d_in, 1.0, &mut rng));
         let h1 = lstm.forward(&mut g, &store, x);

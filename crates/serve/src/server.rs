@@ -48,6 +48,14 @@ use crate::protocol::{ErrorCode, Op, Request, Response, WireError};
 /// How often the acceptor polls for shutdown between `accept` attempts.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
+/// How often blocked connection reads wake to check for shutdown.
+const READ_POLL: Duration = Duration::from_millis(25);
+
+/// How long a response write may stall before the connection is dropped
+/// (a reader slower than this on a full pipe is shed at the transport; it
+/// never affects what bytes were produced).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Server configuration. [`Default`] gives a loopback server on an
 /// OS-assigned port with small-batch, low-latency settings.
 #[derive(Debug, Clone)]
@@ -65,12 +73,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Admission-control bounds.
     pub admission: AdmissionConfig,
-    /// How often blocked connection reads wake to check for shutdown.
-    pub read_poll: Duration,
-    /// How long a response write may stall before the connection is
-    /// dropped (a reader slower than this on a full pipe is shed at the
-    /// transport; it never affects what bytes were produced).
-    pub write_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -81,8 +83,6 @@ impl Default for ServerConfig {
             linger: Duration::from_millis(2),
             cache_capacity: 1024,
             admission: AdmissionConfig::default(),
-            read_poll: Duration::from_millis(25),
-            write_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -97,8 +97,6 @@ struct Shared {
     /// Responses written across all connections (errors included).
     requests: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
-    read_poll: Duration,
-    write_timeout: Duration,
 }
 
 impl Server {
@@ -136,8 +134,6 @@ impl Server {
             admission,
             requests,
             shutdown: Arc::clone(&shutdown),
-            read_poll: cfg.read_poll,
-            write_timeout: cfg.write_timeout,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
 
@@ -337,8 +333,8 @@ fn handle_conn(stream: TcpStream, jobs: Sender<Job>, shared: Arc<Shared>) {
     // Accepted sockets must be blocking-with-timeout regardless of what
     // the polling listener's mode was inherited as.
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(shared.read_poll));
-    let _ = stream.set_write_timeout(Some(shared.write_timeout));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,

@@ -13,6 +13,7 @@ use nlidb_json::{encode_frame, FromJson, Json, ToJson, MAX_FRAME_BYTES};
 use nlidb_serve::{
     AdmissionConfig, AskItem, Op, Reply, Request, Response, Server, ServerConfig, ServerStats,
 };
+use nlidb_storage::{Schema, Table};
 
 fn start_default() -> nlidb_serve::ServerHandle {
     let nlidb = Nlidb::load(&system().ckpt).expect("load test checkpoint");
@@ -204,6 +205,46 @@ fn zero_capacity_tenant_sheds_deterministically_and_statelessly() {
     let acme = stats.tenants.iter().find(|t| t.tenant == "acme").expect("acme row");
     assert_eq!(acme.shed, 4, "three asks and one one-item batch");
     assert_eq!(acme.admitted, 0);
+    server.shutdown();
+}
+
+#[test]
+fn a_blank_column_name_neither_fails_its_ask_nor_stops_the_server() {
+    let _guard = pool_lock();
+    let sys = system();
+    let server = start_default();
+
+    // The first table with two columns renamed to names that tokenize to
+    // nothing; no question can mention them.
+    let src = &sys.tables[0];
+    let mut columns = src.schema().columns().to_vec();
+    columns[0].name = String::new();
+    columns[1].name = "   ".into();
+    let mut blank = Table::new(src.name.clone(), Schema::new(columns));
+    for row in src.iter_rows() {
+        blank.push_row(row.into_iter().cloned().collect());
+    }
+    let mut c = RawClient::connect(server.addr());
+    let register = Request::new(0, "acme", Op::RegisterTable { table: blank.clone() });
+    let reg = c.roundtrip(&register);
+    assert!(reg.contains("\"type\":\"registered\""), "{reg}");
+    let line = c.roundtrip(&ask_request(1, blank.fingerprint()));
+    assert!(line.contains("\"type\":\"answer\""), "{line}");
+
+    // The engine still serves every other connection and table.
+    let mut other = RawClient::connect(server.addr());
+    let reg = other.roundtrip(&Request::new(2, "acme", Op::RegisterTable {
+        table: sys.tables[1].clone(),
+    }));
+    assert!(reg.contains("\"type\":\"registered\""), "{reg}");
+    let (_, question) =
+        sys.questions.iter().find(|(t, _)| *t == 1).expect("a question on the second table");
+    let line = other.roundtrip(&Request::new(3, "acme", Op::Ask(AskItem {
+        fingerprint: sys.tables[1].fingerprint(),
+        question: question.clone(),
+        guided: false,
+    })));
+    assert!(line.contains("\"type\":\"answer\""), "{line}");
     server.shutdown();
 }
 

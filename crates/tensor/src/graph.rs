@@ -63,8 +63,6 @@ enum Op {
     Scale(NodeId, f32),
     /// `[n, d] + [1, d]` row broadcast.
     AddRow(NodeId, NodeId),
-    /// `[n, d] * [1, d]` row broadcast.
-    MulRow(NodeId, NodeId),
     Matmul(NodeId, NodeId),
     Transpose(NodeId),
     Sigmoid(NodeId),
@@ -78,11 +76,8 @@ enum Op {
     RowSlice(NodeId, usize, usize),
     /// Row gather (embedding lookup); duplicates accumulate.
     GatherRows(NodeId, Vec<usize>),
-    /// `[1, d] -> [n, d]`.
-    RepeatRows(NodeId, usize),
     SumAll(NodeId),
     MeanRows(NodeId),
-    SumRows(NodeId),
     /// Sliding-window flatten: `[n, d] -> [n-k+1, k*d]`.
     Unfold(NodeId, usize),
     /// Elementwise `exp`.
@@ -322,24 +317,6 @@ impl Graph {
         }
         let rg = self.rg(a) || self.rg(row);
         self.push(v, Op::AddRow(a, row), rg)
-    }
-
-    /// Multiplies every row of a `[n, d]` matrix by a `[1, d]` row vector.
-    pub fn mul_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let _t = trace::span("graph.fwd.mul_row");
-        let (rows, cols) = self.nodes[a.0].value.shape();
-        assert_eq!(self.nodes[row.0].value.rows(), 1, "mul_row rhs must be [1, d]");
-        assert_eq!(cols, self.nodes[row.0].value.cols(), "mul_row width mismatch");
-        let mut v = self.arena.scratch(rows, cols);
-        for i in 0..rows {
-            let m = self.nodes[a.0].value.row(i);
-            let r = self.nodes[row.0].value.row(0);
-            for ((o, &x), &b) in v.row_mut(i).iter_mut().zip(m).zip(r) {
-                *o = x * b;
-            }
-        }
-        let rg = self.rg(a) || self.rg(row);
-        self.push(v, Op::MulRow(a, row), rg)
     }
 
     /// Matrix product.
@@ -592,20 +569,6 @@ impl Graph {
         self.push(v, Op::GatherRows(a, indices), rg)
     }
 
-    /// Repeats a `[1, d]` row `n` times into `[n, d]`.
-    pub fn repeat_rows(&mut self, a: NodeId, n: usize) -> NodeId {
-        let _t = trace::span("graph.fwd.repeat_rows");
-        let cols = self.nodes[a.0].value.cols();
-        assert_eq!(self.nodes[a.0].value.rows(), 1, "repeat_rows source must be [1, d]");
-        let mut data = self.arena.empty(n * cols);
-        for _ in 0..n {
-            data.extend_from_slice(self.nodes[a.0].value.row(0));
-        }
-        let v = Tensor::from_vec(n, cols, data);
-        let rg = self.rg(a);
-        self.push(v, Op::RepeatRows(a, n), rg)
-    }
-
     /// Sum of all elements as `[1, 1]`.
     pub fn sum_all(&mut self, a: NodeId) -> NodeId {
         let _t = trace::span("graph.fwd.sum_all");
@@ -630,20 +593,6 @@ impl Graph {
         }
         let rg = self.rg(a);
         self.push(out, Op::MeanRows(a), rg)
-    }
-
-    /// Column-wise sum over rows: `[n, d] -> [1, d]`.
-    pub fn sum_rows(&mut self, a: NodeId) -> NodeId {
-        let _t = trace::span("graph.fwd.sum_rows");
-        let (rows, cols) = self.nodes[a.0].value.shape();
-        let mut out = self.arena.zeroed(1, cols);
-        for r in 0..rows {
-            for (o, &x) in out.row_mut(0).iter_mut().zip(self.nodes[a.0].value.row(r)) {
-                *o += x;
-            }
-        }
-        let rg = self.rg(a);
-        self.push(out, Op::SumRows(a), rg)
     }
 
     /// Sliding-window flatten used by the char-CNN: `[n, d] -> [n-k+1, k*d]`.
@@ -862,24 +811,6 @@ fn backprop_node(
             }
             accum_owned(nodes, grads, arena, row, dr);
         }
-        &Op::MulRow(a, row) => {
-            let mut da = arena.scratch(g.rows(), g.cols());
-            for r in 0..g.rows() {
-                let rv = nodes[row.0].value.row(0);
-                for ((o, &gi), &m) in da.row_mut(r).iter_mut().zip(g.row(r)).zip(rv) {
-                    *o = gi * m;
-                }
-            }
-            accum_owned(nodes, grads, arena, a, da);
-            let mut dr = arena.zeroed(1, g.cols());
-            for r in 0..g.rows() {
-                let av = nodes[a.0].value.row(r);
-                for ((o, &gi), &x) in dr.row_mut(0).iter_mut().zip(g.row(r)).zip(av) {
-                    *o += gi * x;
-                }
-            }
-            accum_owned(nodes, grads, arena, row, dr);
-        }
         &Op::Matmul(a, b) => {
             let da = matmul_bt(arena, g, &nodes[b.0].value);
             let db = matmul_at(arena, &nodes[a.0].value, g);
@@ -1001,15 +932,6 @@ fn backprop_node(
             }
             accum_owned(nodes, grads, arena, a, da);
         }
-        &Op::RepeatRows(a, _n) => {
-            let mut da = arena.zeroed(1, g.cols());
-            for r in 0..g.rows() {
-                for (o, &x) in da.row_mut(0).iter_mut().zip(g.row(r)) {
-                    *o += x;
-                }
-            }
-            accum_owned(nodes, grads, arena, a, da);
-        }
         &Op::SumAll(a) => {
             let (rows, cols) = nodes[a.0].value.shape();
             let mut da = arena.scratch(rows, cols);
@@ -1024,14 +946,6 @@ fn backprop_node(
                 for (o, &x) in da.row_mut(r).iter_mut().zip(g.row(0)) {
                     *o = x / n;
                 }
-            }
-            accum_owned(nodes, grads, arena, a, da);
-        }
-        &Op::SumRows(a) => {
-            let (rows, cols) = nodes[a.0].value.shape();
-            let mut da = arena.scratch(rows, cols);
-            for r in 0..rows {
-                da.row_mut(r).copy_from_slice(g.row(0));
             }
             accum_owned(nodes, grads, arena, a, da);
         }
@@ -1143,7 +1057,6 @@ fn bwd_span_name(op: &Op) -> &'static str {
         Op::Mul(..) => "graph.bwd.mul",
         Op::Scale(..) => "graph.bwd.scale",
         Op::AddRow(..) => "graph.bwd.add_row",
-        Op::MulRow(..) => "graph.bwd.mul_row",
         Op::Matmul(..) => "graph.bwd.matmul",
         Op::Transpose(..) => "graph.bwd.transpose",
         Op::Sigmoid(..) => "graph.bwd.sigmoid",
@@ -1155,10 +1068,8 @@ fn bwd_span_name(op: &Op) -> &'static str {
         Op::VCat(..) => "graph.bwd.vcat",
         Op::RowSlice(..) => "graph.bwd.row_slice",
         Op::GatherRows(..) => "graph.bwd.gather_rows",
-        Op::RepeatRows(..) => "graph.bwd.repeat_rows",
         Op::SumAll(..) => "graph.bwd.sum_all",
         Op::MeanRows(..) => "graph.bwd.mean_rows",
-        Op::SumRows(..) => "graph.bwd.sum_rows",
         Op::Unfold(..) => "graph.bwd.unfold",
         Op::Exp(..) => "graph.bwd.exp",
         Op::Ln(..) => "graph.bwd.ln",
@@ -1430,17 +1341,6 @@ mod tests {
         for (_, grad) in &grads {
             assert_eq!(grad.data(), &[expected]);
         }
-    }
-
-    #[test]
-    fn repeat_rows_backward_sums() {
-        let mut g = Graph::new();
-        let a = g.input(Tensor::row_vector(&[1.0, 2.0]));
-        let r = g.repeat_rows(a, 3);
-        assert_eq!(g.value(r).shape(), (3, 2));
-        let loss = g.sum_all(r);
-        g.backward(loss);
-        assert_eq!(g.grad(a).unwrap().data(), &[3.0, 3.0]);
     }
 
     #[test]

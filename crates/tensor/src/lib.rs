@@ -20,7 +20,7 @@
 //! - [`graph`]: the define-by-run tape ([`Graph`], [`NodeId`]) with forward
 //!   ops and reverse-mode [`Graph::backward`].
 //! - [`params`]: persistent named parameters ([`ParamStore`]).
-//! - [`optim`]: SGD/Adam and global-norm gradient clipping.
+//! - [`optim`]: Adam and global-norm gradient clipping.
 //! - [`gradcheck`]: finite-difference verification utilities.
 //! - [`pool`]: the deterministic scoped thread pool behind every parallel
 //!   construct (`NLIDB_THREADS` knob; parallel results are bitwise equal

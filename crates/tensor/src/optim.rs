@@ -1,9 +1,8 @@
 //! Optimizers and gradient clipping.
 //!
 //! The paper trains with gradient clipping at a global-norm threshold of
-//! 5.0 (§VII-A2); [`clip_global_norm`] implements exactly that. Both SGD
-//! (with optional momentum) and Adam are provided; the reproduction's
-//! training loops default to Adam.
+//! 5.0 (§VII-A2); [`clip_global_norm`] implements exactly that. Every
+//! model trains with [`Adam`].
 
 // Optimizer state is keyed by `ParamId` in a `BTreeMap`: any iteration
 // over it (debug dumps, future state serialization) is id-ordered by
@@ -32,47 +31,6 @@ pub fn clip_global_norm(grads: &mut [(ParamId, Tensor)], max_norm: f32) -> f32 {
         }
     }
     total as f32
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient; `0.0` disables momentum.
-    pub momentum: f32,
-    velocity: BTreeMap<ParamId, Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, velocity: BTreeMap::new() }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, velocity: BTreeMap::new() }
-    }
-
-    /// Applies one update step.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
-        for (pid, grad) in grads {
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(*pid)
-                    .or_insert_with(|| Tensor::zeros(grad.rows(), grad.cols()));
-                for (vi, &gi) in v.data_mut().iter_mut().zip(grad.data()) {
-                    *vi = self.momentum * *vi + gi;
-                }
-                let v = self.velocity[pid].clone();
-                store.get_mut(*pid).add_scaled(&v, -self.lr);
-            } else {
-                store.get_mut(*pid).add_scaled(grad, -self.lr);
-            }
-        }
-    }
 }
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
@@ -147,30 +105,6 @@ mod tests {
         let loss = g.sum_all(sq);
         g.backward(loss);
         g.param_grads()
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let mut store = ParamStore::new();
-        let pid = store.add("w", Tensor::row_vector(&[4.0, -3.0]));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let grads = quadratic_grad(&store, pid);
-            opt.step(&mut store, &grads);
-        }
-        assert!(store.get(pid).norm() < 1e-3, "did not converge: {:?}", store.get(pid));
-    }
-
-    #[test]
-    fn sgd_momentum_descends_quadratic() {
-        let mut store = ParamStore::new();
-        let pid = store.add("w", Tensor::row_vector(&[4.0, -3.0]));
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        for _ in 0..200 {
-            let grads = quadratic_grad(&store, pid);
-            opt.step(&mut store, &grads);
-        }
-        assert!(store.get(pid).norm() < 1e-2);
     }
 
     #[test]

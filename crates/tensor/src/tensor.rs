@@ -158,8 +158,7 @@ impl Tensor {
     ///
     /// Note there is deliberately *no* skip of zero left-hand entries:
     /// `0 * NaN` and `0 * Inf` must produce `NaN` so that divergence in
-    /// one operand is never silently masked (IEEE-754 semantics); see
-    /// [`Tensor::matmul_sparse_lhs`] for the opt-in sparse path.
+    /// one operand is never silently masked (IEEE-754 semantics).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -193,48 +192,6 @@ impl Tensor {
             other.cols,
             &mut out.data,
         );
-    }
-
-    /// Matrix product that skips zero entries of `self` (the left operand).
-    ///
-    /// This is the former fast path of [`Tensor::matmul`], now explicit:
-    /// it is only valid when `other` is known to be finite (checked by a
-    /// debug assertion), because a skipped `0 * NaN` / `0 * Inf` yields
-    /// `0` instead of `NaN`. Use it for genuinely sparse left operands
-    /// (indicator/one-hot matrices). On finite inputs the result is
-    /// bitwise identical to [`Tensor::matmul`]: a skipped term is a
-    /// `±0.0` product, and adding `±0.0` to a `+0.0`-initialized
-    /// accumulator (which IEEE-754 addition can never turn into `-0.0`)
-    /// leaves its bits unchanged.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch. Debug builds panic when
-    /// `other` contains non-finite values.
-    pub fn matmul_sparse_lhs(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: [{}, {}] @ [{}, {}]",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        debug_assert!(
-            other.all_finite(),
-            "matmul_sparse_lhs requires a finite right operand: skipped \
-             zero entries would silently turn 0 * NaN / 0 * Inf into 0"
-        );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let out_row = out.row_mut(i);
-            for (k, &a_ik) in self.row(i).iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b;
-                }
-            }
-        }
-        out
     }
 
     /// Transpose.
@@ -488,13 +445,6 @@ mod tests {
         let b = Tensor::from_vec(2, 1, vec![f32::INFINITY, 5.0]);
         let c = a.matmul(&b);
         assert!(c.get(0, 0).is_nan(), "0 * Inf must propagate as NaN");
-    }
-
-    #[test]
-    fn matmul_sparse_lhs_matches_dense_on_finite_inputs() {
-        let a = Tensor::from_vec(2, 3, vec![0.0, 2.0, 0.0, 1.0, 0.0, 3.0]);
-        let b = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.matmul_sparse_lhs(&b), a.matmul(&b));
     }
 
     #[test]

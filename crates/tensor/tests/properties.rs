@@ -294,34 +294,6 @@ fn blocked_matmul_matches_reference_kernel_on_odd_shapes() {
     }
 }
 
-#[test]
-fn matmul_sparse_lhs_matches_dense_at_blocked_sizes() {
-    // The sparse-LHS path skips zero entries, which is only exact because
-    // dense accumulation of `0.0 * finite` terms is also exact; this must
-    // keep holding at sizes where the dense side takes the blocked kernel.
-    for case in 0..8 {
-        let mut rng = case_rng(14, case);
-        let m = rng.gen_range(33..96usize);
-        let k = rng.gen_range(33..96usize);
-        let n = rng.gen_range(33..96usize);
-        let data = (0..m * k)
-            .map(|_| {
-                if rng.gen_range(0.0f32..1.0) < 0.7 {
-                    0.0
-                } else {
-                    rng.gen_range(-2.0f32..2.0)
-                }
-            })
-            .collect();
-        let a = Tensor::from_vec(m, k, data);
-        let b = arb_tensor(&mut rng, k, n);
-        assert!(
-            bitwise_eq(&a.matmul_sparse_lhs(&b), &a.matmul(&b)),
-            "case {case} ({m}x{k} @ {k}x{n}): sparse-LHS differs from dense"
-        );
-    }
-}
-
 /// Unfused composition of [`Graph::fused_gate`] (same as the one the
 /// graph's own unit tests check against), usable at serving batch = 1.
 fn gate_reference(
