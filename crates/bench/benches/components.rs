@@ -23,7 +23,7 @@ use nlidb_data::{CorpusPlan, ShardedCorpusConfig};
 use nlidb_json::json;
 use nlidb_sqlir::{canonicalize, parse_sql, query_match};
 use nlidb_storage::{execute, TableStats};
-use nlidb_tensor::{pool, Rng, Tensor};
+use nlidb_tensor::{pool, Graph, Rng, Tensor};
 use nlidb_text::{tokenize, DepTree, EmbeddingSpace};
 
 /// One benchmark's measurement.
@@ -167,6 +167,16 @@ fn bench_models(records: &mut Vec<Record>) {
     });
     bench("mention/adversarial_influence", records, || {
         black_box(influence(black_box(&clf), &q, &col));
+    });
+    // What one localization cost before frozen tapes: the forward, BCE
+    // and a backward into every parameter on a training tape. The gate
+    // holds `adversarial_influence` to a ratio of this row.
+    bench("mention/influence_training_tape", records, || {
+        let mut g = Graph::new();
+        let out = clf.forward(&mut g, black_box(&q), &col);
+        let loss = g.bce_with_logits(out.logit, Tensor::row_vector(&[1.0]));
+        g.backward(loss);
+        black_box(g.grad(out.word_nodes).map(Tensor::norm));
     });
 }
 

@@ -14,11 +14,18 @@
 //! then search for the continuous span with the highest influence subject
 //! to a maximum mention length. No extra supervision is needed — the
 //! signal comes entirely from the trained classifier (§IV-A).
+//!
+//! Only the question rows' gradients are read, so the backward runs on a
+//! [`Graph::frozen`] tape: it computes `dL/dE` for those rows and no
+//! parameter gradient. The detector reads the influence off the tape its
+//! classifier forward already built (`influence_on`); [`influence`] and
+//! [`locate_mention`] build that tape for one `(question, column)` pair
+//! and give bit-for-bit the same result.
 
 use nlidb_tensor::{Graph, Tensor};
 
 use crate::config::ModelConfig;
-use crate::mention::classifier::MentionClassifier;
+use crate::mention::classifier::{ClassifierOutput, MentionClassifier};
 
 /// Per-token influence levels for one (question, column) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,12 +54,20 @@ pub fn influence(
     question: &[String],
     column: &[String],
 ) -> Influence {
-    let cfg = clf.config();
-    let mut g = Graph::new();
+    let mut g = Graph::frozen();
     let out = clf.forward(&mut g, question, column);
+    influence_on(&mut g, &out, clf.config())
+}
+
+/// The influence of a classifier forward `out` already on `g`: the loss
+/// and its backward go on the same tape. Nodes of other columns scored
+/// on `g` earlier get no gradient from this loss, so the result equals
+/// [`influence`] for `out`'s pair.
+pub(crate) fn influence_on(g: &mut Graph, out: &ClassifierOutput, cfg: &ModelConfig) -> Influence {
     // L(q, c) with the positive label — the loss of predicting "mentioned".
     let loss = g.bce_with_logits(out.logit, Tensor::row_vector(&[1.0]));
     g.backward(loss);
+    let n = g.value(out.word_nodes).rows();
     let norm_rows = |grad: Option<&Tensor>| -> Vec<f32> {
         match grad {
             Some(t) => (0..t.rows())
@@ -67,7 +82,7 @@ pub fn influence(
                     }
                 })
                 .collect(),
-            None => vec![0.0; question.len()],
+            None => vec![0.0; n],
         }
     };
     Influence {
@@ -84,33 +99,21 @@ pub fn influential_span(
     max_len: usize,
     extend_ratio: f32,
 ) -> Option<(usize, usize)> {
-    if scores.is_empty() {
+    let (peak, &top) = scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
+    if top <= 0.0 {
         return None;
     }
-    let peak = scores
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))?
-        .0;
-    if scores[peak] <= 0.0 {
-        return None;
-    }
-    let threshold = scores[peak] * extend_ratio;
+    let threshold = top * extend_ratio;
+    let above = |i: usize| scores.get(i).copied().filter(|&s| s >= threshold);
     let (mut a, mut b) = (peak, peak + 1);
     while b - a < max_len {
-        let left_ok = a > 0 && scores[a - 1] >= threshold;
-        let right_ok = b < scores.len() && scores[b] >= threshold;
-        match (left_ok, right_ok) {
-            (false, false) => break,
-            (true, false) => a -= 1,
-            (false, true) => b += 1,
-            (true, true) => {
-                if scores[a - 1] >= scores[b] {
-                    a -= 1;
-                } else {
-                    b += 1;
-                }
-            }
+        let left = a.checked_sub(1).and_then(above);
+        match (left, above(b)) {
+            (None, None) => break,
+            // Both neighbours qualify: the stronger one wins, left on ties.
+            (Some(l), Some(r)) if l < r => b += 1,
+            (Some(_), _) => a -= 1,
+            (None, Some(_)) => b += 1,
         }
     }
     Some((a, b))
@@ -125,20 +128,26 @@ pub fn locate_mention(
     column: &[String],
     cfg: &ModelConfig,
 ) -> Option<(usize, usize)> {
-    let inf = influence(clf, question, column);
+    mention_span(&influence(clf, question, column), question, cfg)
+}
+
+/// [`locate_mention`]'s span search over an influence already computed.
+pub(crate) fn mention_span(
+    inf: &Influence,
+    question: &[String],
+    cfg: &ModelConfig,
+) -> Option<(usize, usize)> {
     let combined = inf.combined(cfg.alpha, cfg.beta);
-    let (mut a, mut b) = influential_span(&combined, cfg.max_mention_len, 0.5)?;
-    while a < b && nlidb_text::is_stop_word(&question[a]) {
-        a += 1;
-    }
-    while b > a && nlidb_text::is_stop_word(&question[b - 1]) {
-        b -= 1;
-    }
-    if a == b {
+    let (a, b) = influential_span(&combined, cfg.max_mention_len, 0.5)?;
+    let words = question.get(a..b).unwrap_or_default();
+    let is_stop = |w: &&String| nlidb_text::is_stop_word(w);
+    let lead = words.iter().take_while(is_stop).count();
+    if lead == words.len() {
         // Entirely stop words: fall back to the untrimmed peak.
-        return influential_span(&combined, cfg.max_mention_len, 0.5);
+        return Some((a, b));
     }
-    Some((a, b))
+    let trail = words.iter().rev().take_while(is_stop).count();
+    Some((a + lead, b - trail))
 }
 
 #[cfg(test)]
@@ -162,6 +171,34 @@ mod tests {
         assert_eq!(inf.char.len(), q.len());
         assert!(inf.word.iter().all(|&x| x >= 0.0 && x.is_finite()));
         assert!(inf.word.iter().any(|&x| x > 0.0), "all-zero influence");
+    }
+
+    #[test]
+    fn influence_on_a_shared_tape_equals_the_per_pair_influence() {
+        // Every column of a question scored and differentiated on one
+        // frozen tape, as the detector does: each influence must be the
+        // bits of a tape built for its pair alone.
+        let cfg = ModelConfig::tiny();
+        let ds = generate(&WikiSqlConfig::tiny(34));
+        let space = EmbeddingSpace::with_builtin_lexicon(cfg.word_dim, 3);
+        let clf = MentionClassifier::new(&cfg, build_input_vocab(&ds, &cfg), &space);
+        let bits = |inf: &Influence| -> Vec<u32> {
+            inf.word.iter().chain(&inf.char).map(|x| x.to_bits()).collect()
+        };
+        for e in ds.dev.iter().take(6) {
+            let columns: Vec<Vec<String>> =
+                e.table.column_names().iter().map(|n| tokenize(n)).collect();
+            let mut g = Graph::frozen();
+            let q = clf.encode_question(&mut g, &e.question);
+            let outs: Vec<_> = columns.iter().map(|c| clf.score_column(&mut g, &q, c)).collect();
+            // Backward from the last column first, so every loss but one
+            // sits after nodes of columns it does not depend on.
+            for (c, out) in columns.iter().zip(&outs).rev() {
+                let shared = influence_on(&mut g, out, &cfg);
+                assert_eq!(bits(&shared), bits(&influence(&clf, &e.question, c)), "{c:?}");
+            }
+            assert!(g.param_grads().is_empty());
+        }
     }
 
     #[test]

@@ -14,9 +14,14 @@
 //!    per-step states are zero-padded to a fixed column length,
 //!    concatenated, and fed to an MLP head producing one logit.
 //!
-//! The forward pass exposes the question-side word/char embedding nodes so
-//! the §IV-C adversarial method can read `dL/dE_word(w)` and
-//! `dL/dE_char(w)` after `backward`.
+//! The forward pass is [`MentionClassifier::encode_question`] (steps 1–2
+//! for the question, which depend only on `q`) followed by
+//! [`MentionClassifier::score_column`] (steps 1–3 for one column). The
+//! detector encodes a question once and scores every column on that one
+//! tape. Each [`ClassifierOutput`] exposes the question's word/char
+//! embedding rows, passed through [`Graph::track`], so the §IV-C
+//! adversarial method can read `dL/dE_word(w)` and `dL/dE_char(w)` after
+//! `backward`, on a training tape and on a frozen one alike.
 
 use nlidb_neural::rnn::run;
 use nlidb_neural::{Activation, BahdanauAttention, Cell, CharCnn, Embedding, LstmCell, Mlp, Rnn};
@@ -45,6 +50,16 @@ pub struct MentionClassifier {
     bwd_cell: LstmCell,
     head: Mlp,
     cfg: ModelConfig,
+}
+
+/// The question side of a forward pass on one tape, from
+/// [`MentionClassifier::encode_question`]: the states `S^q` the column
+/// attention reads, and the tracked embedding rows.
+#[derive(Debug, Clone, Copy)]
+pub struct QuestionEncoding {
+    states: NodeId,
+    word_nodes: NodeId,
+    char_nodes: NodeId,
 }
 
 /// Nodes of interest from one forward pass.
@@ -138,52 +153,68 @@ impl MentionClassifier {
         (words, char_feats)
     }
 
-    /// Full forward pass for `(question, column)`.
+    /// Full forward pass for `(question, column)`:
+    /// [`Self::encode_question`], then [`Self::score_column`].
     pub fn forward(
         &self,
         g: &mut Graph,
         question: &[String],
         column: &[String],
     ) -> ClassifierOutput {
-        assert!(!question.is_empty(), "empty question");
-        assert!(!column.is_empty(), "empty column");
-        let column = &column[..column.len().min(MAX_COL_WORDS)];
+        let q = self.encode_question(g, question);
+        self.score_column(g, &q, column)
+    }
 
-        let (q_words, q_chars) = self.embed(g, question);
-        let q_emb = g.hcat(q_words, q_chars);
+    /// The question side of the forward pass, which no column changes:
+    /// word and char embedding rows (each passed through [`Graph::track`])
+    /// and the stacked LSTM over them.
+    pub fn encode_question(&self, g: &mut Graph, question: &[String]) -> QuestionEncoding {
+        assert!(!question.is_empty(), "empty question");
+        let (words, chars) = self.embed(g, question);
+        let word_nodes = g.track(words);
+        let char_nodes = g.track(chars);
+        let q_emb = g.hcat(word_nodes, char_nodes);
+        let states = self.q_lstm.forward(g, &self.store, q_emb); // [n, h]
+        QuestionEncoding { states, word_nodes, char_nodes }
+    }
+
+    /// The forward pass of `column` for a question encoded on `g`: the
+    /// column's embedding and bi-LSTM, the attention bi-LSTM, and the head.
+    /// Names longer than [`MAX_COL_WORDS`] words are truncated.
+    pub fn score_column(
+        &self,
+        g: &mut Graph,
+        q: &QuestionEncoding,
+        column: &[String],
+    ) -> ClassifierOutput {
+        assert!(!column.is_empty(), "empty column");
+        let column = column.get(..MAX_COL_WORDS).unwrap_or(column);
         let (c_words, c_chars) = self.embed(g, column);
         let c_emb = g.hcat(c_words, c_chars);
-
-        let s_q = self.q_lstm.forward(g, &self.store, q_emb); // [n, h]
         let s_c = self.c_lstm.forward(g, &self.store, c_emb); // [m, 2h]
 
-        let m = column.len();
         // Attention bi-LSTM over the column (§IV-B(iii)): step `t` reads
         // z_t = [s^c_t ; attn(S^q, [s^c_t ; d_{t-1}])].
         let z = |g: &mut Graph, t: usize, d: NodeId| {
             let s_ct = g.row(s_c, t);
             let query = g.hcat(s_ct, d);
-            let att = self.attn.forward(g, &self.store, s_q, query);
+            let att = self.attn.forward(g, &self.store, q.states, query);
             g.hcat(s_ct, att.context)
         };
-        let states_fwd = run(g, &self.store, &self.fwd_cell, m, false, z);
-        let states_bwd = run(g, &self.store, &self.bwd_cell, m, true, z);
+        let states_fwd = run(g, &self.store, &self.fwd_cell, column.len(), false, z);
+        let states_bwd = run(g, &self.store, &self.bwd_cell, column.len(), true, z);
         // d_t = [fwd_t ; bwd_t], zero-padded to MAX_COL_WORDS, concatenated.
-        let mut feat: Option<NodeId> = None;
-        for t in 0..MAX_COL_WORDS {
-            let d_t = if t < m {
-                g.hcat(states_fwd[t], states_bwd[t])
-            } else {
-                g.leaf(Tensor::zeros(1, 2 * self.cfg.hidden))
-            };
-            feat = Some(match feat {
-                None => d_t,
-                Some(acc) => g.hcat(acc, d_t),
-            });
-        }
-        // lint:allow(panic-path): `MAX_COL_WORDS` is a nonzero constant, so the fold above always assigns `feat`.
-        let logit = self.head.forward(g, &self.store, feat.expect("nonzero columns"));
-        ClassifierOutput { logit, word_nodes: q_words, char_nodes: q_chars }
+        let d = |g: &mut Graph, t: usize| match (states_fwd.get(t), states_bwd.get(t)) {
+            (Some(&fwd), Some(&bwd)) => g.hcat(fwd, bwd),
+            _ => g.leaf(Tensor::zeros(1, 2 * self.cfg.hidden)),
+        };
+        let first = d(g, 0);
+        let feat = (1..MAX_COL_WORDS).fold(first, |acc, t| {
+            let d_t = d(g, t);
+            g.hcat(acc, d_t)
+        });
+        let logit = self.head.forward(g, &self.store, feat);
+        ClassifierOutput { logit, word_nodes: q.word_nodes, char_nodes: q.char_nodes }
     }
 
     /// Mention probability for `(question, column)`.

@@ -18,12 +18,12 @@ pub mod value;
 
 use nlidb_data::Example;
 use nlidb_storage::{Table, TableStats};
-use nlidb_tensor::Rng;
+use nlidb_tensor::{Graph, Rng};
 use nlidb_text::{EmbeddingSpace, Lexicon, Vocab};
 
 use crate::config::ModelConfig;
 use crate::train::Corpus;
-use adversarial::locate_mention;
+use adversarial::{influence_on, mention_span};
 use classifier::{training_pairs, MentionClassifier};
 use matcher::{context_free_matches, ColumnCandidate, MatchSource, MatcherConfig};
 use resolve::resolve;
@@ -172,6 +172,14 @@ impl MentionDetector {
     /// Detects column-mention candidates: context-free tier first, then
     /// the neural classifier + adversarial localization for columns the
     /// context-free tier missed (§IV-A's two-stage strategy).
+    ///
+    /// The neural tier runs on one frozen tape per question: the question
+    /// side is encoded at the first uncovered column, each such column is
+    /// scored on the tape, and a column whose probability clears the
+    /// threshold is localized by a backward from its loss on the same
+    /// tape. Every probability and span equals what
+    /// [`MentionClassifier::predict`] and [`adversarial::locate_mention`]
+    /// give for the pair.
     fn detect_columns_in(
         &self,
         question: &[String],
@@ -188,18 +196,22 @@ impl MentionDetector {
             &self.matcher_cfg,
         );
         let covered: Vec<usize> = found.iter().map(|c| c.column).collect();
-        // One reusable tape for every per-column prediction in this call.
-        let mut g = nlidb_tensor::Graph::new();
+        let clf = &self.classifier;
+        let mut g = Graph::frozen();
+        let mut encoded = None;
         for (ci, col_tokens) in ctx.name_tokens.iter().enumerate() {
             // A name with no tokens cannot be mentioned, and the
             // classifier needs at least one column word.
             if covered.contains(&ci) || col_tokens.is_empty() {
                 continue;
             }
-            let p = self.classifier.predict_in(&mut g, question, col_tokens);
+            let q = *encoded.get_or_insert_with(|| clf.encode_question(&mut g, question));
+            let out = clf.score_column(&mut g, &q, col_tokens);
+            let prob = g.sigmoid(out.logit);
+            let p = g.value(prob).scalar();
             if p > 0.58 {
-                if let Some(span) = locate_mention(&self.classifier, question, col_tokens, &self.cfg)
-                {
+                let inf = influence_on(&mut g, &out, clf.config());
+                if let Some(span) = mention_span(&inf, question, &self.cfg) {
                     // A context-free candidate already claiming the span is
                     // more precise than the gradient signal; skip overlaps.
                     let overlaps = found
@@ -343,6 +355,62 @@ mod tests {
             hit as f32 / total as f32 > 0.45,
             "column coverage too low: {hit}/{total}"
         );
+    }
+
+    #[test]
+    fn shared_tape_detection_equals_the_per_pair_functions() {
+        // `detect_columns_in` scores and localizes every column on one
+        // frozen tape per question; its semantic candidates must be what
+        // the per-pair `predict` and `locate_mention` give under the same
+        // threshold and overlap rule.
+        let (det, ds) = trained();
+        let mut semantic = 0;
+        for e in ds.dev.iter().chain(&ds.test) {
+            let ctx = det.table_context(&e.table);
+            let q = &e.question;
+            let mut expected = context_free_matches(
+                q,
+                &ctx.names,
+                &det.space,
+                &det.lexicon,
+                &det.matcher_cfg,
+            );
+            let covered: Vec<usize> = expected.iter().map(|c| c.column).collect();
+            for (ci, col) in ctx.name_tokens.iter().enumerate() {
+                if covered.contains(&ci) || col.is_empty() || q.is_empty() {
+                    continue;
+                }
+                let p = det.classifier.predict(q, col);
+                if p <= 0.58 {
+                    continue;
+                }
+                let Some(span) = adversarial::locate_mention(&det.classifier, q, col, &det.cfg)
+                else {
+                    continue;
+                };
+                if !expected.iter().any(|c| span.0 < c.span.1 && c.span.0 < span.1) {
+                    expected.push(ColumnCandidate {
+                        column: ci,
+                        span,
+                        score: p,
+                        source: MatchSource::Semantic,
+                    });
+                }
+            }
+            let keep = |cands: Vec<ColumnCandidate>| -> Vec<(usize, (usize, usize), u32)> {
+                let mut semantic: Vec<_> = cands
+                    .into_iter()
+                    .filter(|c| c.source == MatchSource::Semantic)
+                    .map(|c| (c.column, c.span, c.score.to_bits()))
+                    .collect();
+                semantic.sort();
+                semantic
+            };
+            let (got, want) = (keep(det.detect_columns_in(q, &ctx)), keep(expected));
+            assert_eq!(got, want, "question {q:?}");
+            semantic += got.len();
+        }
+        assert!(semantic > 0, "no semantic candidate exercised the shared tape");
     }
 
     #[test]

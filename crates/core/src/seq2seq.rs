@@ -164,10 +164,14 @@ impl Seq2Seq {
     /// `H`, and `U[d_i, β_i]` scores the output vocabulary. Returns
     /// `d_i`, the attention (context `β_i` and the raw scores the copy
     /// mechanism adds), and the `[1, V]` logits.
+    ///
+    /// Inference passes `h_proj`, the attention's `H·W_mem` computed once
+    /// per source; training passes `None` and projects on every step, so
+    /// its tape binds `W_mem` where it always has.
     fn step(
         &self,
         g: &mut Graph,
-        h: NodeId,
+        (h, h_proj): (NodeId, Option<NodeId>),
         d_prev: NodeId,
         beta_prev: NodeId,
         prev_tok: usize,
@@ -175,7 +179,10 @@ impl Seq2Seq {
         let prev_emb = self.out_emb.forward(g, &self.store, &[prev_tok]);
         let dec_in = g.hcat(prev_emb, beta_prev);
         let d = self.dec_cell.step(g, &self.store, dec_in, d_prev);
-        let att = self.attn.forward(g, &self.store, h, d);
+        let att = match h_proj {
+            Some(p) => self.attn.forward_projected(g, &self.store, h, p, d),
+            None => self.attn.forward(g, &self.store, h, d),
+        };
         let feats = g.hcat(d, att.context);
         let logits = self.u.forward(g, &self.store, feats);
         (d, att, logits)
@@ -191,7 +198,7 @@ impl Seq2Seq {
         let mut losses: Option<NodeId> = None;
         let mut prev_tok = self.out_vocab.bos();
         for &tgt in &item.tgt {
-            let (d_next, att, logits) = self.step(g, h, d, beta, prev_tok);
+            let (d_next, att, logits) = self.step(g, (h, None), d, beta, prev_tok);
             d = d_next;
             beta = att.context;
             let step_loss = match &copy_m {
@@ -249,26 +256,30 @@ impl Seq2Seq {
         crate::train::fit_slice(self, data, epochs)
     }
 
-    /// Encodes a source for inference, returning `(H, d0, β0)` values.
+    /// Encodes a source for inference, returning the values
+    /// `([H, H·W_mem], d0, β0)`. `H·W_mem` is the step-independent half
+    /// of every attention score (§V-B's `W1·S_j`), projected here once per
+    /// source instead of on every step of every beam.
     ///
     /// The caller-provided graph is reset and reused, so decode loops
     /// recycle one tape's buffers across the encode and every step.
-    fn encode_values(&self, g: &mut Graph, src: &[usize]) -> (Tensor, Tensor, Tensor) {
+    fn encode_values(&self, g: &mut Graph, src: &[usize]) -> ([Tensor; 2], Tensor, Tensor) {
         g.reset();
         let (h, d0) = self.encode(g, src);
+        let h_proj = self.attn.project_memory(g, &self.store, h);
         (
-            g.value(h).clone(),
+            [g.value(h).clone(), g.value(h_proj).clone()],
             g.value(d0).clone(),
             Tensor::zeros(1, self.encoder.out_dim()),
         )
     }
 
-    /// One decode step (inference): returns per-token probabilities and
-    /// the next `(d, β)` state.
+    /// One decode step (inference) over the encoded memory `[H, H·W_mem]`:
+    /// returns per-token probabilities and the next `(d, β)` state.
     fn decode_step(
         &self,
         g: &mut Graph,
-        h: &Tensor,
+        [h, h_proj]: &[Tensor; 2],
         d_prev: &Tensor,
         beta_prev: &Tensor,
         prev_tok: usize,
@@ -276,9 +287,11 @@ impl Seq2Seq {
     ) -> (Vec<f32>, Tensor, Tensor) {
         g.reset();
         let h_node = g.leaf(h.clone());
+        let proj_node = g.leaf(h_proj.clone());
         let d_node = g.leaf(d_prev.clone());
         let b_node = g.leaf(beta_prev.clone());
-        let (d, att, logits) = self.step(g, h_node, d_node, b_node, prev_tok);
+        let (d, att, logits) =
+            self.step(g, (h_node, Some(proj_node)), d_node, b_node, prev_tok);
         let probs: Vec<f32> = match copy_m {
             None => {
                 let p = g.softmax_rows(logits);
@@ -357,7 +370,7 @@ impl Seq2Seq {
     ) -> Vec<Vec<usize>> {
         assert!(width >= 1);
         let mut g = Graph::new();
-        let (h, d0, b0) = self.encode_values(&mut g, src);
+        let (memory, d0, b0) = self.encode_values(&mut g, src);
         let copy_m = if self.copy_enabled { Some(self.copy_matrix(copy)) } else { None };
         let eos = self.out_vocab.eos();
         let bos = self.out_vocab.bos();
@@ -392,11 +405,12 @@ impl Seq2Seq {
                 }
                 let prev = *b.seq.last().unwrap_or(&bos);
                 let (probs, d, beta) =
-                    self.decode_step(&mut g, &h, &b.d, &b.beta, prev, &copy_m);
-                // Top `width` continuations of this beam.
-                let mut idx: Vec<usize> = (0..probs.len()).collect();
-                idx.sort_by(|&x, &y| probs[y].total_cmp(&probs[x]));
-                for &tok in idx.iter().take(width) {
+                    self.decode_step(&mut g, &memory, &b.d, &b.beta, prev, &copy_m);
+                // Top `width` continuations of this beam (stable: ties keep
+                // token order).
+                let mut ranked: Vec<(usize, f32)> = probs.into_iter().enumerate().collect();
+                ranked.sort_by(|x, y| y.1.total_cmp(&x.1));
+                for &(tok, p) in ranked.iter().take(width) {
                     let mut seq = b.seq.clone();
                     let done = tok == eos;
                     if !done {
@@ -410,7 +424,7 @@ impl Seq2Seq {
                     }
                     next.push(Beam {
                         seq,
-                        logp: b.logp + probs[tok].max(1e-12).ln(),
+                        logp: b.logp + p.max(1e-12).ln(),
                         d: d.clone(),
                         beta: beta.clone(),
                         done,

@@ -4,6 +4,12 @@
 //! given a query `q`, then `α = softmax(e)` and a context vector `α S`.
 //! The raw scores are also returned because the paper's copy mechanism adds
 //! `exp(e_ij)` mass directly to source-token logits.
+//!
+//! `W1 S_j` does not depend on the query. A decoder that attends over one
+//! memory at every step can compute it once with
+//! [`BahdanauAttention::project_memory`] and attend through
+//! [`BahdanauAttention::forward_projected`]; the scores, weights and
+//! context are bit-for-bit those of [`BahdanauAttention::forward`].
 
 use nlidb_tensor::{Graph, NodeId, ParamId, ParamStore, Tensor};
 use nlidb_tensor::Rng;
@@ -61,7 +67,8 @@ impl BahdanauAttention {
         self.query_dim
     }
 
-    /// Attends `query` (`[1, query_dim]`) over `memory` (`[n, mem_dim]`).
+    /// Attends `query` (`[1, query_dim]`) over `memory` (`[n, mem_dim]`):
+    /// [`Self::project_memory`], then [`Self::forward_projected`].
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -69,13 +76,34 @@ impl BahdanauAttention {
         memory: NodeId,
         query: NodeId,
     ) -> AttentionOut {
+        let proj_mem = self.project_memory(g, store, memory);
+        self.forward_projected(g, store, memory, proj_mem, query)
+    }
+
+    /// The query-independent half of every score, `memory @ W1`
+    /// (`[n, attn_dim]`).
+    pub fn project_memory(&self, g: &mut Graph, store: &ParamStore, memory: NodeId) -> NodeId {
         assert_eq!(g.value(memory).cols(), self.mem_dim, "attention memory width mismatch");
-        assert_eq!(g.value(query).cols(), self.query_dim, "attention query width mismatch");
         let w_mem = g.param(store, self.w_mem);
+        g.matmul(memory, w_mem)
+    }
+
+    /// [`Self::forward`] given `proj_mem`, the value of
+    /// [`Self::project_memory`] for the same `memory` (computed once,
+    /// possibly on another tape). Gradients reach `proj_mem` but not
+    /// `W1`.
+    pub fn forward_projected(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        memory: NodeId,
+        proj_mem: NodeId,
+        query: NodeId,
+    ) -> AttentionOut {
+        assert_eq!(g.value(query).cols(), self.query_dim, "attention query width mismatch");
         let w_query = g.param(store, self.w_query);
         let b = g.param(store, self.b);
         let v = g.param(store, self.v);
-        let proj_mem = g.matmul(memory, w_mem); // [n, attn]
         let proj_q = g.matmul(query, w_query); // [1, attn]
         let proj_qb = g.add(proj_q, b); // [1, attn]
         let combined = g.add_row(proj_mem, proj_qb); // broadcast query over rows
@@ -150,6 +178,38 @@ mod tests {
         assert!(g.grad(memory).is_some());
         assert!(g.grad(query).is_some());
         assert!(g.param_grads().len() >= 3, "attention params should get grads");
+    }
+
+    #[test]
+    fn precomputed_projection_gives_forward_bits() {
+        let mut r = rng();
+        let mut store = ParamStore::new();
+        let attn = BahdanauAttention::new(&mut store, "a", 5, 3, 4, &mut r);
+        let memory = Tensor::uniform(6, 5, 1.0, &mut r);
+        let query = Tensor::uniform(1, 3, 1.0, &mut r);
+        let mut g = Graph::new();
+        let m = g.leaf(memory.clone());
+        let q = g.leaf(query.clone());
+        let direct = attn.forward(&mut g, &store, m, q);
+        // The projection comes from another tape, as in beam decoding.
+        let mut encode = Graph::new();
+        let em = encode.leaf(memory.clone());
+        let proj = attn.project_memory(&mut encode, &store, em);
+        let mut step = Graph::new();
+        let m = step.leaf(memory);
+        let p = step.leaf(encode.value(proj).clone());
+        let q = step.leaf(query);
+        let projected = attn.forward_projected(&mut step, &store, m, p, q);
+        let bits = |g: &Graph, n: NodeId| -> Vec<u32> {
+            g.value(n).data().iter().map(|x| x.to_bits()).collect()
+        };
+        for (a, b) in [
+            (direct.scores, projected.scores),
+            (direct.weights, projected.weights),
+            (direct.context, projected.context),
+        ] {
+            assert_eq!(bits(&g, a), bits(&step, b));
+        }
     }
 
     #[test]

@@ -5,12 +5,18 @@
 //! information to run the backward pass. Calling [`Graph::backward`] on a
 //! scalar loss walks the tape in reverse, accumulating gradients into every
 //! node that (transitively) depends on a [`Graph::param`] or
-//! [`Graph::input`] node.
+//! [`Graph::input`] node. An operand that depends on neither gets no
+//! delta, and backward does not compute one for it.
 //!
 //! `input` nodes exist specifically for the paper's adversarial text method
 //! (§IV-C): the Fast Gradient Method needs `dL/dE(w)` for each *input*
 //! embedding row, so word/char embeddings of the question are fed in as
 //! gradient-tracked inputs and their gradients read back after `backward`.
+//! On a [`Graph::frozen`] tape parameters bind without gradient tracking,
+//! and [`Graph::track`] turns the embedding rows into such inputs, so a
+//! backward computes those rows' gradients and no parameter gradient. On
+//! a training tape ([`Graph::new`]) the rows already depend on the
+//! embedding parameters and `track` adds nothing.
 //!
 //! ## Buffer arena
 //!
@@ -175,16 +181,30 @@ pub struct Graph {
     grads: Vec<Option<Tensor>>,
     param_bindings: Vec<(NodeId, ParamId)>,
     arena: Arena,
+    /// Parameters bind as constants (see [`Graph::frozen`]).
+    frozen: bool,
 }
 
 impl Graph {
-    /// Creates an empty graph.
+    /// Creates an empty training tape: [`Graph::param`] bindings are
+    /// gradient-tracked and [`Graph::param_grads`] collects them.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Creates an empty frozen tape: [`Graph::param`] binds parameters
+    /// without gradient tracking, so [`Graph::param_grads`] is always
+    /// empty and a backward computes gradients only for nodes that depend
+    /// on an [`Graph::input`] (or a [`Graph::track`]ed node). Forward
+    /// values, and the gradients of those inputs, are bit-for-bit what a
+    /// training tape computes for the same ops. [`Graph::reset`] keeps the
+    /// mode.
+    pub fn frozen() -> Self {
+        Graph { frozen: true, ..Self::default() }
+    }
+
     /// Clears the tape for reuse, recycling every node value and gradient
-    /// buffer into the internal arena.
+    /// buffer into the internal arena. A frozen tape stays frozen.
     ///
     /// Hot loops (decode steps, per-example training) call this instead of
     /// constructing a fresh `Graph` so that the next forward/backward pass
@@ -245,11 +265,30 @@ impl Graph {
         self.push(value, Op::Input, true)
     }
 
-    /// Binds a stored parameter into this graph.
+    /// Gradient-tracked view of `node`, for reading `dL/d node` after
+    /// `backward`. A node that is already tracked (on a training tape,
+    /// anything computed from a parameter) is returned as is, so the tape
+    /// gains no node; otherwise a tracked [`Graph::input`] copy of its
+    /// value is pushed, and callers build on the copy.
+    pub fn track(&mut self, node: NodeId) -> NodeId {
+        if self.rg(node) {
+            return node;
+        }
+        let (rows, cols) = self.nodes[node.0].value.shape();
+        let mut value = self.arena.scratch(rows, cols);
+        value.data_mut().copy_from_slice(self.nodes[node.0].value.data());
+        self.push(value, Op::Input, true)
+    }
+
+    /// Binds a stored parameter into this graph: gradient-tracked on a
+    /// training tape, a constant leaf on a [`Graph::frozen`] one.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
         let src = store.get(id);
         let mut value = self.arena.scratch(src.rows(), src.cols());
         value.data_mut().copy_from_slice(src.data());
+        if self.frozen {
+            return self.push(value, Op::Leaf, false);
+        }
         let node = self.push(value, Op::Param, true);
         self.param_bindings.push((node, id));
         node
@@ -669,10 +708,10 @@ impl Graph {
         // cloning the op descriptor while mutating grads and the arena.
         let Graph { nodes, grads, arena, .. } = self;
         for i in (0..=loss.0).rev() {
-            if grads[i].is_none() || !nodes[i].requires_grad {
+            if !nodes[i].requires_grad {
                 continue;
             }
-            let g = grads[i].take().expect("checked above");
+            let Some(g) = grads[i].take() else { continue };
             backprop_node(nodes, grads, arena, i, &g);
             grads[i] = Some(g);
         }
@@ -767,6 +806,11 @@ fn matmul_at(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
+/// Pushes node `i`'s gradient `g` into its operands. A delta is computed
+/// only for an operand that requires grad (`accum_*` would drop any other),
+/// so a frozen tape skips the weight-side products and a training tape
+/// skips only deltas it used to throw away. Unary ops need no check: their
+/// node requires grad only when the operand does.
 fn backprop_node(
     nodes: &[Node],
     grads: &mut [Option<Tensor>],
@@ -776,6 +820,7 @@ fn backprop_node(
 ) {
     let op = &nodes[i].op;
     let _t = trace::span(bwd_span_name(op));
+    let rg = |id: NodeId| nodes[id.0].requires_grad;
     match op {
         Op::Leaf | Op::Input | Op::Param => {}
         &Op::Add(a, b) => {
@@ -784,17 +829,23 @@ fn backprop_node(
         }
         &Op::Sub(a, b) => {
             accum_ref(nodes, grads, arena, a, g);
-            let mut neg = arena.scratch(g.rows(), g.cols());
-            g.map_into(|x| -x, &mut neg);
-            accum_owned(nodes, grads, arena, b, neg);
+            if rg(b) {
+                let mut neg = arena.scratch(g.rows(), g.cols());
+                g.map_into(|x| -x, &mut neg);
+                accum_owned(nodes, grads, arena, b, neg);
+            }
         }
         &Op::Mul(a, b) => {
-            let mut da = arena.scratch(g.rows(), g.cols());
-            g.zip_into(&nodes[b.0].value, |gi, bi| gi * bi, &mut da);
-            let mut db = arena.scratch(g.rows(), g.cols());
-            g.zip_into(&nodes[a.0].value, |gi, ai| gi * ai, &mut db);
-            accum_owned(nodes, grads, arena, a, da);
-            accum_owned(nodes, grads, arena, b, db);
+            if rg(a) {
+                let mut da = arena.scratch(g.rows(), g.cols());
+                g.zip_into(&nodes[b.0].value, |gi, bi| gi * bi, &mut da);
+                accum_owned(nodes, grads, arena, a, da);
+            }
+            if rg(b) {
+                let mut db = arena.scratch(g.rows(), g.cols());
+                g.zip_into(&nodes[a.0].value, |gi, ai| gi * ai, &mut db);
+                accum_owned(nodes, grads, arena, b, db);
+            }
         }
         &Op::Scale(a, s) => {
             let mut da = arena.scratch(g.rows(), g.cols());
@@ -803,19 +854,25 @@ fn backprop_node(
         }
         &Op::AddRow(a, row) => {
             accum_ref(nodes, grads, arena, a, g);
-            let mut dr = arena.zeroed(1, g.cols());
-            for r in 0..g.rows() {
-                for (o, &x) in dr.row_mut(0).iter_mut().zip(g.row(r)) {
-                    *o += x;
+            if rg(row) {
+                let mut dr = arena.zeroed(1, g.cols());
+                for r in 0..g.rows() {
+                    for (o, &x) in dr.row_mut(0).iter_mut().zip(g.row(r)) {
+                        *o += x;
+                    }
                 }
+                accum_owned(nodes, grads, arena, row, dr);
             }
-            accum_owned(nodes, grads, arena, row, dr);
         }
         &Op::Matmul(a, b) => {
-            let da = matmul_bt(arena, g, &nodes[b.0].value);
-            let db = matmul_at(arena, &nodes[a.0].value, g);
-            accum_owned(nodes, grads, arena, a, da);
-            accum_owned(nodes, grads, arena, b, db);
+            if rg(a) {
+                let da = matmul_bt(arena, g, &nodes[b.0].value);
+                accum_owned(nodes, grads, arena, a, da);
+            }
+            if rg(b) {
+                let db = matmul_at(arena, &nodes[a.0].value, g);
+                accum_owned(nodes, grads, arena, b, db);
+            }
         }
         &Op::Transpose(a) => {
             let mut da = arena.scratch(g.cols(), g.rows());
@@ -890,28 +947,34 @@ fn backprop_node(
         &Op::HCat(a, b) => {
             let ac = nodes[a.0].value.cols();
             let rows = g.rows();
-            let mut da = arena.scratch(rows, ac);
-            let mut db = arena.scratch(rows, g.cols() - ac);
-            for r in 0..rows {
-                da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
-                db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
+            if rg(a) {
+                let mut da = arena.scratch(rows, ac);
+                for r in 0..rows {
+                    da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
+                }
+                accum_owned(nodes, grads, arena, a, da);
             }
-            accum_owned(nodes, grads, arena, a, da);
-            accum_owned(nodes, grads, arena, b, db);
+            if rg(b) {
+                let mut db = arena.scratch(rows, g.cols() - ac);
+                for r in 0..rows {
+                    db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
+                }
+                accum_owned(nodes, grads, arena, b, db);
+            }
         }
         &Op::VCat(a, b) => {
             let ar = nodes[a.0].value.rows();
             let cols = g.cols();
-            let mut da = arena.scratch(ar, cols);
-            let mut db = arena.scratch(g.rows() - ar, cols);
-            for r in 0..ar {
-                da.row_mut(r).copy_from_slice(g.row(r));
+            if rg(a) {
+                let mut da = arena.scratch(ar, cols);
+                da.data_mut().copy_from_slice(&g.data()[..ar * cols]);
+                accum_owned(nodes, grads, arena, a, da);
             }
-            for r in ar..g.rows() {
-                db.row_mut(r - ar).copy_from_slice(g.row(r));
+            if rg(b) {
+                let mut db = arena.scratch(g.rows() - ar, cols);
+                db.data_mut().copy_from_slice(&g.data()[ar * cols..]);
+                accum_owned(nodes, grads, arena, b, db);
             }
-            accum_owned(nodes, grads, arena, a, da);
-            accum_owned(nodes, grads, arena, b, db);
         }
         &Op::RowSlice(a, from, _to) => {
             let (rows, cols) = nodes[a.0].value.shape();
@@ -1001,22 +1064,26 @@ fn backprop_node(
             // then the h-branch matmul, then the x-branch matmul. The bias
             // gradient copies row 0 and accumulates the rest, so at one
             // row it is bit-for-bit the plain `add` gradient.
-            let mut db = arena.scratch(1, dlin.cols());
-            db.row_mut(0).copy_from_slice(dlin.row(0));
-            for r in 1..dlin.rows() {
-                for (o, &v) in db.row_mut(0).iter_mut().zip(dlin.row(r)) {
-                    *o += v;
+            if rg(b) {
+                let mut db = arena.scratch(1, dlin.cols());
+                db.row_mut(0).copy_from_slice(dlin.row(0));
+                for r in 1..dlin.rows() {
+                    for (o, &v) in db.row_mut(0).iter_mut().zip(dlin.row(r)) {
+                        *o += v;
+                    }
+                }
+                accum_owned(nodes, grads, arena, b, db);
+            }
+            for (input, weight) in [(h, wh), (x, wx)] {
+                if rg(input) {
+                    let d = matmul_bt(arena, &dlin, &nodes[weight.0].value);
+                    accum_owned(nodes, grads, arena, input, d);
+                }
+                if rg(weight) {
+                    let d = matmul_at(arena, &nodes[input.0].value, &dlin);
+                    accum_owned(nodes, grads, arena, weight, d);
                 }
             }
-            accum_owned(nodes, grads, arena, b, db);
-            let dh = matmul_bt(arena, &dlin, &nodes[wh.0].value);
-            let dwh = matmul_at(arena, &nodes[h.0].value, &dlin);
-            accum_owned(nodes, grads, arena, h, dh);
-            accum_owned(nodes, grads, arena, wh, dwh);
-            let dx = matmul_bt(arena, &dlin, &nodes[wx.0].value);
-            let dwx = matmul_at(arena, &nodes[x.0].value, &dlin);
-            accum_owned(nodes, grads, arena, x, dx);
-            accum_owned(nodes, grads, arena, wx, dwx);
             arena.give(dlin);
         }
         &Op::FusedGruCombine { z, n, h_prev } => {
@@ -1024,18 +1091,17 @@ fn backprop_node(
             // z ← g⊙h_prev, h_prev ← g⊙z (from the z*h_prev product),
             // n ← g⊙(1-z) (from (1-z)*n), then z ← -(g⊙n) (through the
             // 1-z subtraction).
-            let mut dz = arena.scratch(g.rows(), g.cols());
-            g.zip_into(&nodes[h_prev.0].value, |gi, hi| gi * hi, &mut dz);
-            let mut dh = arena.scratch(g.rows(), g.cols());
-            g.zip_into(&nodes[z.0].value, |gi, zi| gi * zi, &mut dh);
-            accum_owned(nodes, grads, arena, z, dz);
-            accum_owned(nodes, grads, arena, h_prev, dh);
-            let mut dn = arena.scratch(g.rows(), g.cols());
-            g.zip_into(&nodes[z.0].value, |gi, zi| gi * (1.0 - zi), &mut dn);
-            accum_owned(nodes, grads, arena, n, dn);
-            let mut dz2 = arena.scratch(g.rows(), g.cols());
-            g.zip_into(&nodes[n.0].value, |gi, ni| -(gi * ni), &mut dz2);
-            accum_owned(nodes, grads, arena, z, dz2);
+            let mut delta = |id: NodeId, other: NodeId, f: fn(f32, f32) -> f32| {
+                if rg(id) {
+                    let mut d = arena.scratch(g.rows(), g.cols());
+                    g.zip_into(&nodes[other.0].value, f, &mut d);
+                    accum_owned(nodes, grads, arena, id, d);
+                }
+            };
+            delta(z, h_prev, |gi, hi| gi * hi);
+            delta(h_prev, z, |gi, zi| gi * zi);
+            delta(n, z, |gi, zi| gi * (1.0 - zi));
+            delta(z, n, |gi, ni| -(gi * ni));
         }
     }
 }

@@ -6,7 +6,9 @@
 //! reproducible from the case index alone.
 
 use nlidb_tensor::gradcheck::check_input_gradient;
-use nlidb_tensor::{pool, set_matmul_kernel, GateAct, Graph, MatmulKernel, NodeId, Rng, Tensor};
+use nlidb_tensor::{
+    pool, set_matmul_kernel, GateAct, Graph, MatmulKernel, NodeId, ParamId, ParamStore, Rng, Tensor,
+};
 
 const CASES: u64 = 64;
 
@@ -409,4 +411,138 @@ fn exp_ln_inverse_on_positive() {
             assert!((a - b).abs() < 1e-4, "case {case}");
         }
     }
+}
+
+/// What one pass over a random tape leaves behind: the loss, the
+/// gradients of the two tracked embedding blocks, and the number of
+/// parameters `param_grads` reports.
+struct TapeOutcome {
+    loss: Tensor,
+    input_grads: [Option<Tensor>; 2],
+    param_grads: usize,
+}
+
+/// Builds, runs and differentiates one seeded random tape of the ops mention
+/// localization uses: two embedding blocks gathered from parameters and
+/// passed through `track`, then a random chain of `matmul`, `add_row`,
+/// `fused_gate` (either activation), `hcat`, `vcat`, `row_slice`, `tanh`,
+/// `sigmoid` and `softmax_rows`, reduced to one logit under
+/// `bce_with_logits`. The draws do not depend on the tape mode, so the
+/// training and frozen passes of a case build the same ops.
+fn random_tape_pass(case: u64, frozen: bool) -> TapeOutcome {
+    fn param(store: &mut ParamStore, rng: &mut Rng, rows: usize, cols: usize) -> ParamId {
+        let name = format!("p{}", store.len());
+        store.add(name, arb_tensor(rng, rows, cols))
+    }
+    let mut rng = case_rng(40, case);
+    let mut store = ParamStore::new();
+    let mut g = if frozen { Graph::frozen() } else { Graph::new() };
+    let n = rng.gen_range(1..5usize);
+    let [words, chars] = [(); 2].map(|()| {
+        let width = rng.gen_range(1..5usize);
+        let table = param(&mut store, &mut rng, 6, width);
+        let ids: Vec<usize> = (0..n).map(|_| rng.gen_range(0..6usize)).collect();
+        let table = g.param(&store, table);
+        let rows = g.gather_rows(table, ids);
+        let len = g.len();
+        let tracked = g.track(rows);
+        if !frozen {
+            assert_eq!(tracked, rows, "case {case}: track must return a tracked node");
+            assert_eq!(g.len(), len, "case {case}: track added a node to a training tape");
+        }
+        tracked
+    });
+    let mut x = g.hcat(words, chars);
+    for _ in 0..rng.gen_range(2..9usize) {
+        let (rows, cols) = g.value(x).shape();
+        x = match rng.gen_range(0..8usize) {
+            0 => {
+                let k = rng.gen_range(1..5usize);
+                let w = param(&mut store, &mut rng, cols, k);
+                let w = g.param(&store, w);
+                g.matmul(x, w)
+            }
+            1 => {
+                let b = param(&mut store, &mut rng, 1, cols);
+                let b = g.param(&store, b);
+                g.add_row(x, b)
+            }
+            2 => g.tanh(x),
+            3 => g.sigmoid(x),
+            4 => g.softmax_rows(x),
+            5 => {
+                let (k, kh) = (rng.gen_range(1..5usize), rng.gen_range(1..4usize));
+                let wx = param(&mut store, &mut rng, cols, k);
+                let wh = param(&mut store, &mut rng, kh, k);
+                let b = param(&mut store, &mut rng, 1, k);
+                // The recurrent input is a constant or depends on `x`.
+                let h = if rng.gen_bool(0.5) {
+                    g.leaf(arb_tensor(&mut rng, rows, kh))
+                } else {
+                    let wp = param(&mut store, &mut rng, cols, kh);
+                    let wp = g.param(&store, wp);
+                    g.matmul(x, wp)
+                };
+                let act = if rng.gen_bool(0.5) { GateAct::Sigmoid } else { GateAct::Tanh };
+                let [wx, wh, b] = [wx, wh, b].map(|p| g.param(&store, p));
+                g.fused_gate(x, wx, h, wh, b, act)
+            }
+            6 => {
+                let y = if rng.gen_bool(0.5) {
+                    g.tanh(x)
+                } else {
+                    g.leaf(arb_tensor(&mut rng, rows, 2))
+                };
+                if rng.gen_bool(0.5) {
+                    g.hcat(x, y)
+                } else {
+                    g.hcat(y, x)
+                }
+            }
+            _ => {
+                if rows > 1 && (rows >= 6 || rng.gen_bool(0.5)) {
+                    let a = rng.gen_range(0..rows);
+                    let b = rng.gen_range(a + 1..rows + 1);
+                    g.row_slice(x, a, b)
+                } else {
+                    let y = g.sigmoid(x);
+                    g.vcat(x, y)
+                }
+            }
+        };
+    }
+    let (rows, cols) = g.value(x).shape();
+    let r = rng.gen_range(0..rows);
+    let row = g.row_slice(x, r, r + 1);
+    let w_out = param(&mut store, &mut rng, cols, 1);
+    let w_out = g.param(&store, w_out);
+    let logit = g.matmul(row, w_out);
+    let target = if rng.gen_bool(0.5) { 1.0 } else { 0.0 };
+    let loss = g.bce_with_logits(logit, Tensor::row_vector(&[target]));
+    g.backward(loss);
+    TapeOutcome {
+        loss: g.value(loss).clone(),
+        input_grads: [words, chars].map(|t| g.grad(t).cloned()),
+        param_grads: g.param_grads().len(),
+    }
+}
+
+#[test]
+fn frozen_tapes_give_training_tape_input_gradients_bit_for_bit() {
+    let mut nonzero = 0;
+    for case in 0..CASES {
+        let training = random_tape_pass(case, false);
+        let frozen = random_tape_pass(case, true);
+        assert!(bitwise_eq(&training.loss, &frozen.loss), "case {case}: loss");
+        assert!(training.param_grads > 0, "case {case}: training tape lost its parameters");
+        assert_eq!(frozen.param_grads, 0, "case {case}: frozen tape reported parameter gradients");
+        for (i, (t, f)) in training.input_grads.iter().zip(&frozen.input_grads).enumerate() {
+            let (Some(t), Some(f)) = (t, f) else {
+                panic!("case {case}: input block {i} has no gradient")
+            };
+            assert!(bitwise_eq(t, f), "case {case}: input block {i} gradient differs");
+            nonzero += usize::from(t.data().iter().any(|&x| x != 0.0));
+        }
+    }
+    assert!(nonzero > CASES as usize, "too few cases with a nonzero input gradient: {nonzero}");
 }
