@@ -43,43 +43,72 @@ fn smoke() -> bool {
     std::env::var_os("NLIDB_BENCH_SMOKE").is_some()
 }
 
-/// Times `f`, returning the median per-iteration nanoseconds over
-/// `BATCHES` batches. Batch size adapts so each batch runs ≥ ~1ms,
-/// keeping timer overhead negligible without a fixed iteration count.
-fn bench<F: FnMut()>(name: &'static str, records: &mut Vec<Record>, mut f: F) {
-    let batches: usize = if smoke() { 5 } else { 15 };
-    let min_batch_us: u128 = if smoke() { 200 } else { 1000 };
-    // Warm-up and batch-size calibration: grow until a batch takes >= ~1ms.
+/// Timed batches per benchmark.
+fn batches() -> usize {
+    if smoke() {
+        5
+    } else {
+        15
+    }
+}
+
+/// Warm-up and batch-size calibration: the number of calls to `f` that
+/// takes at least ~1 ms (200 µs in smoke mode), so timer overhead stays
+/// negligible without a fixed iteration count.
+fn calibrate<F: FnMut()>(f: &mut F) -> u64 {
+    let min_batch_ns = if smoke() { 200e3 } else { 1000e3 };
     let mut batch: u64 = 1;
-    loop {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        if t.elapsed().as_micros() >= min_batch_us || batch >= 1 << 20 {
-            break;
-        }
+    while batch < 1 << 20 && time_batch(f, batch) * (batch as f64) < min_batch_ns {
         batch *= 2;
     }
-    let mut samples: Vec<f64> = (0..batches)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..batch {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / batch as f64
-        })
-        .collect();
+    batch
+}
+
+/// Per-call nanoseconds of one batch of `batch` calls to `f`.
+fn time_batch<F: FnMut()>(f: &mut F, batch: u64) -> f64 {
+    let t = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    t.elapsed().as_nanos() as f64 / batch as f64
+}
+
+/// Prints and records one benchmark from its per-batch samples.
+fn record(name: &'static str, records: &mut Vec<Record>, mut samples: Vec<f64>, batch: u64) {
     samples.sort_by(|a, b| a.total_cmp(b));
     let median_ns = samples[samples.len() / 2];
     let min_ns = samples[0];
-    println!(
-        "{name:<32} {:>12} {:>12} {:>10}",
-        format_ns(median_ns),
-        format_ns(min_ns),
-        batch * batches as u64
-    );
-    records.push(Record { name, median_ns, min_ns, iters: batch * batches as u64 });
+    let iters = batch * samples.len() as u64;
+    println!("{name:<32} {:>12} {:>12} {:>10}", format_ns(median_ns), format_ns(min_ns), iters);
+    records.push(Record { name, median_ns, min_ns, iters });
+}
+
+/// Times `f`, recording the median and minimum per-iteration nanoseconds
+/// over [`batches`] batches.
+fn bench<F: FnMut()>(name: &'static str, records: &mut Vec<Record>, mut f: F) {
+    let batch = calibrate(&mut f);
+    let samples = (0..batches()).map(|_| time_batch(&mut f, batch)).collect();
+    record(name, records, samples, batch);
+}
+
+/// [`bench`] for two benchmarks whose `min_ns` the gate compares as a
+/// ratio (`ratio_to`): their batches alternate, so both sides see the
+/// same host load instead of two different moments of it, and there are
+/// three times as many, so each minimum is less likely to be a loaded one.
+fn bench_pair<A: FnMut(), B: FnMut()>(
+    names: [&'static str; 2],
+    records: &mut Vec<Record>,
+    mut a: A,
+    mut b: B,
+) {
+    let (batch_a, batch_b) = (calibrate(&mut a), calibrate(&mut b));
+    let (mut samples_a, mut samples_b) = (Vec::new(), Vec::new());
+    for _ in 0..3 * batches() {
+        samples_a.push(time_batch(&mut a, batch_a));
+        samples_b.push(time_batch(&mut b, batch_b));
+    }
+    record(names[0], records, samples_a, batch_a);
+    record(names[1], records, samples_b, batch_b);
 }
 
 fn format_ns(ns: f64) -> String {
@@ -162,22 +191,38 @@ fn bench_models(records: &mut Vec<Record>) {
     clf.train(&pairs, 1);
     let q = tokenize("which film directed by jerzy antczak did piotr adamczyk star in ?");
     let col = tokenize("director");
-    bench("mention/classifier_predict", records, || {
-        black_box(clf.predict(black_box(&q), black_box(&col)));
-    });
-    bench("mention/adversarial_influence", records, || {
-        black_box(influence(black_box(&clf), &q, &col));
-    });
-    // What one localization cost before frozen tapes: the forward, BCE
-    // and a backward into every parameter on a training tape. The gate
-    // holds `adversarial_influence` to a ratio of this row.
-    bench("mention/influence_training_tape", records, || {
-        let mut g = Graph::new();
-        let out = clf.forward(&mut g, black_box(&q), &col);
-        let loss = g.bce_with_logits(out.logit, Tensor::row_vector(&[1.0]));
-        g.backward(loss);
-        black_box(g.grad(out.word_nodes).map(Tensor::norm));
-    });
+    // The second row of each pair is what the first cost before frozen
+    // tapes: the same forward and sigmoid on a training tape, which copies
+    // every binding; and the forward, BCE and a backward into every
+    // parameter on a training tape. The gate holds each first row to a
+    // ratio of its partner.
+    bench_pair(
+        ["mention/classifier_predict", "mention/classifier_forward_training_tape"],
+        records,
+        || {
+            black_box(clf.predict(black_box(&q), black_box(&col)));
+        },
+        || {
+            let mut g = Graph::new();
+            let out = clf.forward(&mut g, black_box(&q), black_box(&col));
+            let p = g.sigmoid(out.logit);
+            black_box(g.value(p).scalar());
+        },
+    );
+    bench_pair(
+        ["mention/adversarial_influence", "mention/influence_training_tape"],
+        records,
+        || {
+            black_box(influence(black_box(&clf), &q, &col));
+        },
+        || {
+            let mut g = Graph::new();
+            let out = clf.forward(&mut g, black_box(&q), &col);
+            let loss = g.bce_with_logits(out.logit, Tensor::row_vector(&[1.0]));
+            g.backward(loss);
+            black_box(g.grad(out.word_nodes).map(Tensor::norm));
+        },
+    );
 }
 
 /// Serial-vs-parallel entries for the threaded hot paths: the 256×256

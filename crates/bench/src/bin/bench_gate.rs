@@ -32,7 +32,10 @@
 //! `mention/adversarial_influence` (one forward and an input-only
 //! backward on a frozen tape) to 0.85 of `mention/influence_training_tape`
 //! (the same forward with a backward into every parameter); a revert to
-//! the full backward reads about 1.0.
+//! the full backward reads about 1.0. It also holds
+//! `mention/classifier_predict` (a forward on a frozen tape, which binds
+//! each parameter once) to 0.9 of `mention/classifier_forward_training_tape`
+//! (the same forward on a training tape, which copies every binding).
 //!
 //! Only rows named in the baseline are gated; the baseline is the policy
 //! file. A baseline row missing from the current results is an error —

@@ -226,7 +226,7 @@ impl Seq2Sql {
         }
         let aug = augment(question, table);
         let ids: Vec<usize> = aug.tokens.iter().map(|t| self.vocab.id(t)).collect();
-        let mut g = Graph::new();
+        let mut g = Graph::frozen();
         let (h, mut d) = self.encode(&mut g, &ids);
         let mut beta = g.leaf(Tensor::zeros(1, self.encoder.out_dim()));
         let mut prev_pos = kw_pos("select");

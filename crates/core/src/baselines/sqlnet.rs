@@ -248,7 +248,7 @@ impl SqlNet {
         if question.is_empty() || table.num_cols() == 0 {
             return None;
         }
-        let mut g = Graph::new();
+        let mut g = Graph::frozen();
         let h = self.encode(&mut g, question, table);
         let pooled = g.mean_rows(h);
         let agg_logits = self.agg_head.forward(&mut g, &self.store, pooled);

@@ -36,6 +36,9 @@ pub enum CheckpointError {
     Json(JsonError),
     /// Stored weights do not match the reconstructed model's layout.
     LayoutMismatch(String),
+    /// The manifest's model configuration cannot build or run a model
+    /// (a zero beam width or encoder depth, or unusable char-CNN widths).
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -44,6 +47,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
             CheckpointError::Json(e) => write!(f, "checkpoint json error: {e}"),
             CheckpointError::LayoutMismatch(m) => write!(f, "checkpoint layout mismatch: {m}"),
+            CheckpointError::InvalidConfig(m) => write!(f, "checkpoint model config invalid: {m}"),
         }
     }
 }
@@ -171,6 +175,7 @@ impl Nlidb {
         let space = EmbeddingSpace::new(manifest.space_dim, manifest.space_seed, lexicon.clone());
         let opts = manifest.options;
         let cfg = &opts.model;
+        cfg.validate().map_err(CheckpointError::InvalidConfig)?;
 
         let mut detector = MentionDetector::untrained(cfg, vocab.clone(), &space, lexicon);
         let clf_store = ParamStore::from_json_str(&read_string(dir, "classifier.params.json")?)?;
@@ -273,6 +278,44 @@ mod tests {
             Err(other) => panic!("expected Io error, got {other}"),
             Ok(_) => panic!("load from missing directory succeeded"),
         }
+    }
+
+    #[test]
+    fn a_manifest_whose_config_cannot_serve_fails_to_load() {
+        // An untrained system is enough: loading never reads the weights'
+        // values before it has checked the manifest.
+        let ds = generate(&WikiSqlConfig::tiny(2025));
+        let opts = NlidbOptions { model: ModelConfig::tiny(), ..NlidbOptions::default() };
+        let vocab = crate::vocab::build_input_vocab(&ds, &opts.model);
+        let space = EmbeddingSpace::with_builtin_lexicon(opts.model.word_dim, 3);
+        let detector =
+            MentionDetector::untrained(&opts.model, vocab.clone(), &space, Lexicon::builtin());
+        let out_vocab = OutVocab::new(&opts.model);
+        let translator = Translator::Gru(Seq2Seq::new(
+            &opts.model,
+            &vocab,
+            out_vocab.clone(),
+            &space,
+            opts.copy,
+        ));
+        let nlidb = Nlidb::from_parts(detector, translator, vocab, out_vocab, opts);
+        let dir = std::env::temp_dir().join(format!("nlidb-ckpt-cfg-{}", std::process::id()));
+        nlidb.save(&dir).expect("save");
+        Nlidb::load(&dir).expect("the unedited checkpoint loads");
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+        for (from, to) in [
+            ("\"beam_width\":5", "\"beam_width\":0"),
+            ("\"char_widths\":[3]", "\"char_widths\":[]"),
+        ] {
+            assert!(manifest.contains(from), "{manifest}");
+            std::fs::write(dir.join("manifest.json"), manifest.replace(from, to)).expect("edit");
+            match Nlidb::load(&dir) {
+                Err(CheckpointError::InvalidConfig(_)) => {}
+                Err(other) => panic!("{to}: expected InvalidConfig, got {other}"),
+                Ok(_) => panic!("{to}: a checkpoint that cannot serve loaded"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

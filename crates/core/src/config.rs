@@ -142,6 +142,29 @@ impl FromJson for ModelConfig {
 }
 
 impl ModelConfig {
+    /// Rejects the values a model constructor or the decoder asserts on:
+    /// a zero beam width or encoder depth, and char-CNN widths that are
+    /// missing, zero or repeated. [`crate::Nlidb::load`] runs this before
+    /// it builds a model, so a hand-edited manifest fails the load
+    /// instead of panicking later. Values that change a parameter's shape
+    /// fail the checkpoint's layout check.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let mut widths = self.char_widths.clone();
+        widths.sort_unstable();
+        widths.dedup();
+        if self.beam_width == 0 {
+            Err("beam_width must be at least 1".into())
+        } else if self.enc_layers == 0 {
+            Err("enc_layers must be at least 1".into())
+        } else if widths.is_empty() || widths.first() == Some(&0) {
+            Err(format!("char_widths must be non-empty and positive, got {:?}", self.char_widths))
+        } else if widths.len() != self.char_widths.len() {
+            Err(format!("char_widths must be distinct, got {:?}", self.char_widths))
+        } else {
+            Ok(())
+        }
+    }
+
     /// The Table II "− Half Hidden Size" ablation.
     pub fn half_hidden(mut self) -> Self {
         self.hidden /= 2;
@@ -207,6 +230,24 @@ mod tests {
         let old = ModelConfig::default().to_json().to_string().replace("\"batch_size\":1,", "");
         let parsed = ModelConfig::from_json(&nlidb_json::Json::parse(&old).unwrap()).unwrap();
         assert_eq!(parsed.batch_size, 1);
+    }
+
+    #[test]
+    fn validate_rejects_what_the_models_assert_on() {
+        assert_eq!(ModelConfig::default().validate(), Ok(()));
+        assert_eq!(ModelConfig::tiny().validate(), Ok(()));
+        let broken: [fn(&mut ModelConfig); 5] = [
+            |c| c.beam_width = 0,
+            |c| c.enc_layers = 0,
+            |c| c.char_widths.clear(),
+            |c| c.char_widths = vec![3, 0],
+            |c| c.char_widths = vec![3, 4, 3],
+        ];
+        for edit in broken {
+            let mut c = ModelConfig::tiny();
+            edit(&mut c);
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 
     #[test]

@@ -217,17 +217,16 @@ impl MentionClassifier {
         ClassifierOutput { logit, word_nodes: q.word_nodes, char_nodes: q.char_nodes }
     }
 
-    /// Mention probability for `(question, column)`.
+    /// Mention probability for `(question, column)`, from one forward on
+    /// a frozen tape: the `sigmoid` of the logit a training tape computes.
     pub fn predict(&self, question: &[String], column: &[String]) -> f32 {
-        let mut g = Graph::new();
-        self.predict_in(&mut g, question, column)
+        self.predict_in(&mut Graph::frozen(), question, column)
     }
 
-    /// [`Self::predict`] against a caller-provided graph. The graph is
-    /// reset first, so per-column serving loops reuse one tape's buffers
-    /// instead of reallocating a graph per prediction.
+    /// [`Self::predict`] on a fresh frozen tape that replaces `g`;
+    /// whatever `g` held before is dropped, since no tape is reused.
     pub fn predict_in(&self, g: &mut Graph, question: &[String], column: &[String]) -> f32 {
-        g.reset();
+        *g = Graph::frozen();
         let out = self.forward(g, question, column);
         let p = g.sigmoid(out.logit);
         g.value(p).scalar()

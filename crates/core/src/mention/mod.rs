@@ -266,7 +266,9 @@ impl MentionDetector {
                     .iter()
                     .find(|v| v.span == p.val_span)
                     .and_then(|v| v.text.clone())
-                    .unwrap_or_else(|| question[p.val_span.0..p.val_span.1].join(" "));
+                    .unwrap_or_else(|| {
+                        question.get(p.val_span.0..p.val_span.1).unwrap_or_default().join(" ")
+                    });
                 DetectedSlot {
                     column: p.column,
                     col_span: p.col_span,

@@ -7,6 +7,8 @@
 //! classifier is the paper's two-layer MLP over
 //! `[s_c − s_{q[i,j]} ; s_c ⊙ s_{q[i,j]}]` with a sigmoid output, and
 //! candidate spans are restricted to short spans without stop words.
+//! [`ValueDetector::detect`] scores every (span, column) pair of a
+//! question on one frozen tape, computing each span's `s_{q[i,j]}` once.
 
 use nlidb_neural::{Activation, Mlp};
 use nlidb_storage::TableStats;
@@ -70,15 +72,18 @@ impl ValueDetector {
     /// Likelihood that `span_tokens` is a value of the column with
     /// centroid `s_c`.
     pub fn score(&self, span_tokens: &[String], s_c: &[f32]) -> f32 {
-        let mut g = Graph::new();
-        let logit = self.logit(&mut g, span_tokens, s_c);
+        self.prob(&mut Graph::frozen(), &self.space.phrase_vector(span_tokens), s_c)
+    }
+
+    /// [`Self::score`] on `g` for a span whose phrase vector is `s_span`.
+    fn prob(&self, g: &mut Graph, s_span: &[f32], s_c: &[f32]) -> f32 {
+        let logit = self.logit(g, s_span, s_c);
         let p = g.sigmoid(logit);
         g.value(p).scalar()
     }
 
-    fn logit(&self, g: &mut Graph, span_tokens: &[String], s_c: &[f32]) -> NodeId {
-        let s_span = self.space.phrase_vector(span_tokens);
-        let x = g.leaf(self.features(s_c, &s_span));
+    fn logit(&self, g: &mut Graph, s_span: &[f32], s_c: &[f32]) -> NodeId {
+        let x = g.leaf(self.features(s_c, s_span));
         self.mlp.forward(g, &self.store, x)
     }
 
@@ -95,18 +100,19 @@ impl ValueDetector {
     /// non-overlapping spans by score (longer spans win ties).
     pub fn detect(&self, question: &[String], stats: &TableStats) -> Vec<ValueMention> {
         let n = question.len();
+        let mut g = Graph::frozen();
         let mut candidates: Vec<ValueMention> = Vec::new();
         for a in 0..n {
-            for len in 1..=MAX_VALUE_SPAN.min(n - a) {
-                let b = a + len;
-                let span = &question[a..b];
+            for b in a + 1..=(a + MAX_VALUE_SPAN).min(n) {
+                let Some(span) = question.get(a..b) else { continue };
                 if span_has_stop_word(span) {
                     continue;
                 }
+                let s_span = self.space.phrase_vector(span);
                 let column_scores: Vec<f32> = stats
                     .columns
                     .iter()
-                    .map(|cs| self.score(span, &cs.centroid))
+                    .map(|cs| self.prob(&mut g, &s_span, &cs.centroid))
                     .collect();
                 // `total_cmp` keeps the comparison panic-free; a table
                 // with zero columns simply yields no candidates.
@@ -157,7 +163,7 @@ impl Fit for ValueDetector {
     }
 
     fn item_loss(&self, g: &mut Graph, (span, s_c, label): &Self::Item) -> Option<NodeId> {
-        let logit = self.logit(g, span, s_c);
+        let logit = self.logit(g, &self.space.phrase_vector(span), s_c);
         let target = if *label { 1.0 } else { 0.0 };
         Some(g.bce_with_logits(logit, Tensor::row_vector(&[target])))
     }
@@ -246,14 +252,12 @@ pub fn content_matches_indexed(question: &[String], index: &ValueIndex) -> Vec<V
     let mut out: Vec<ValueMention> = Vec::new();
     let max_span = 6usize;
     for a in 0..n {
-        for len in (1..=max_span.min(n - a)).rev() {
-            let b = a + len;
-            let text = question[a..b].join(" ").to_lowercase();
+        for b in (a + 1..=(a + max_span).min(n)).rev() {
+            let Some(words) = question.get(a..b) else { continue };
+            let text = words.join(" ").to_lowercase();
             if let Some((cols, column, cell_text)) = index.lookup(&text) {
-                let mut scores = vec![0.0f32; ncols];
-                for (&c, _) in cols {
-                    scores[c] = 1.0;
-                }
+                let scores =
+                    (0..ncols).map(|c| if cols.contains_key(&c) { 1.0 } else { 0.0 }).collect();
                 out.push(ValueMention {
                     span: (a, b),
                     column,

@@ -12,6 +12,12 @@
 //! precisely the placeholder symbols (`c_i`/`v_i`/`g_i`). This differs
 //! from a softmax over the full vocabulary and is what lets the model
 //! favor source placeholders over memorized tokens.
+//!
+//! Training and inference share one encoder and one decoder step.
+//! A beam search runs on one [`Graph::frozen`] tape per source: the
+//! encoder output `H`, its attention projection `H·W_mem` (computed once)
+//! and every beam's `d_i` and `β_i` are node ids on that tape, and each
+//! decoder weight is bound into it once.
 
 use nlidb_neural::{AttentionOut, BahdanauAttention, Cell, Embedding, GruCell, Linear, Rnn};
 use nlidb_tensor::{Graph, NodeId, ParamStore, Tensor};
@@ -256,70 +262,37 @@ impl Seq2Seq {
         crate::train::fit_slice(self, data, epochs)
     }
 
-    /// Encodes a source for inference, returning the values
-    /// `([H, H·W_mem], d0, β0)`. `H·W_mem` is the step-independent half
-    /// of every attention score (§V-B's `W1·S_j`), projected here once per
-    /// source instead of on every step of every beam.
-    ///
-    /// The caller-provided graph is reset and reused, so decode loops
-    /// recycle one tape's buffers across the encode and every step.
-    fn encode_values(&self, g: &mut Graph, src: &[usize]) -> ([Tensor; 2], Tensor, Tensor) {
-        g.reset();
-        let (h, d0) = self.encode(g, src);
-        let h_proj = self.attn.project_memory(g, &self.store, h);
-        (
-            [g.value(h).clone(), g.value(h_proj).clone()],
-            g.value(d0).clone(),
-            Tensor::zeros(1, self.encoder.out_dim()),
-        )
-    }
-
-    /// One decode step (inference) over the encoded memory `[H, H·W_mem]`:
-    /// returns per-token probabilities and the next `(d, β)` state.
-    fn decode_step(
+    /// The next-token distribution of one decoder step: without copy, the
+    /// softmax of `logits`; with copy, `exp(U[d_i, β_i]) + M_i`
+    /// normalized. The mixture is summed here in a fixed order rather
+    /// than with training's copy-loss ops, whose sums associate
+    /// differently and would move the beam's log-probabilities.
+    fn token_probs(
         &self,
         g: &mut Graph,
-        [h, h_proj]: &[Tensor; 2],
-        d_prev: &Tensor,
-        beta_prev: &Tensor,
-        prev_tok: usize,
-        copy_m: &Option<Tensor>,
-    ) -> (Vec<f32>, Tensor, Tensor) {
-        g.reset();
-        let h_node = g.leaf(h.clone());
-        let proj_node = g.leaf(h_proj.clone());
-        let d_node = g.leaf(d_prev.clone());
-        let b_node = g.leaf(beta_prev.clone());
-        let (d, att, logits) =
-            self.step(g, (h_node, Some(proj_node)), d_node, b_node, prev_tok);
-        let probs: Vec<f32> = match copy_m {
-            None => {
-                let p = g.softmax_rows(logits);
-                g.value(p).data().to_vec()
-            }
-            Some(m) => {
-                let l = g.value(logits).data().to_vec();
-                let scores = g.value(att.scores).data().to_vec();
-                let shift = l
-                    .iter()
-                    .chain(&scores)
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max);
-                let mut p: Vec<f32> = l.iter().map(|&x| (x - shift).exp()).collect();
-                for (j, &s) in scores.iter().enumerate() {
-                    let mass = (s - shift).exp();
-                    for (v, pv) in p.iter_mut().enumerate() {
-                        let w = m.get(j, v);
-                        if w > 0.0 {
-                            *pv += w * mass;
-                        }
-                    }
-                }
-                let total: f32 = p.iter().sum::<f32>().max(1e-12);
-                p.iter().map(|x| x / total).collect()
-            }
+        logits: NodeId,
+        scores: NodeId,
+        copy_m: Option<&Tensor>,
+    ) -> Vec<f32> {
+        let Some(m) = copy_m else {
+            let p = g.softmax_rows(logits);
+            return g.value(p).data().to_vec();
         };
-        (probs, g.value(d).clone(), g.value(att.context).clone())
+        let l = g.value(logits).data();
+        let scores = g.value(scores).data();
+        let shift = l.iter().chain(scores).cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut p: Vec<f32> = l.iter().map(|&x| (x - shift).exp()).collect();
+        for (j, &s) in scores.iter().enumerate() {
+            let mass = (s - shift).exp();
+            for (v, pv) in p.iter_mut().enumerate() {
+                let w = m.get(j, v);
+                if w > 0.0 {
+                    *pv += w * mass;
+                }
+            }
+        }
+        let total: f32 = p.iter().sum::<f32>().max(1e-12);
+        p.iter().map(|x| x / total).collect()
     }
 
     /// Beam-search decoding (paper: width 5). Returns the best token
@@ -361,6 +334,11 @@ impl Seq2Seq {
     /// `decode_beam_ranked`, and `decode_beam_guided`: identical
     /// exploration/scoring/truncation in all three, with the guide (when
     /// present) strictly observing.
+    ///
+    /// Everything runs on one frozen tape: the encode, `H·W_mem` (§V-B's
+    /// step-independent `W1·S_j`, projected once per source instead of on
+    /// every step of every beam), and each beam's state `(d, β)` as node
+    /// ids that the next step reads in place.
     fn beam_candidates(
         &self,
         src: &[usize],
@@ -369,8 +347,10 @@ impl Seq2Seq {
         mut guide: Option<&mut dyn DecodeGuide>,
     ) -> Vec<Vec<usize>> {
         assert!(width >= 1);
-        let mut g = Graph::new();
-        let (memory, d0, b0) = self.encode_values(&mut g, src);
+        let mut g = Graph::frozen();
+        let (h, d0) = self.encode(&mut g, src);
+        let memory = (h, Some(self.attn.project_memory(&mut g, &self.store, h)));
+        let b0 = g.leaf(Tensor::zeros(1, self.encoder.out_dim()));
         let copy_m = if self.copy_enabled { Some(self.copy_matrix(copy)) } else { None };
         let eos = self.out_vocab.eos();
         let bos = self.out_vocab.bos();
@@ -378,8 +358,8 @@ impl Seq2Seq {
         struct Beam {
             seq: Vec<usize>,
             logp: f32,
-            d: Tensor,
-            beta: Tensor,
+            d: NodeId,
+            beta: NodeId,
             done: bool,
         }
         let mut beams =
@@ -394,18 +374,12 @@ impl Seq2Seq {
             let mut next: Vec<Beam> = Vec::new();
             for b in &beams {
                 if b.done {
-                    next.push(Beam {
-                        seq: b.seq.clone(),
-                        logp: b.logp,
-                        d: b.d.clone(),
-                        beta: b.beta.clone(),
-                        done: true,
-                    });
+                    next.push(Beam { seq: b.seq.clone(), ..*b });
                     continue;
                 }
                 let prev = *b.seq.last().unwrap_or(&bos);
-                let (probs, d, beta) =
-                    self.decode_step(&mut g, &memory, &b.d, &b.beta, prev, &copy_m);
+                let (d, att, logits) = self.step(&mut g, memory, b.d, b.beta, prev);
+                let probs = self.token_probs(&mut g, logits, att.scores, copy_m.as_ref());
                 // Top `width` continuations of this beam (stable: ties keep
                 // token order).
                 let mut ranked: Vec<(usize, f32)> = probs.into_iter().enumerate().collect();
@@ -425,8 +399,8 @@ impl Seq2Seq {
                     next.push(Beam {
                         seq,
                         logp: b.logp + p.max(1e-12).ln(),
-                        d: d.clone(),
-                        beta: beta.clone(),
+                        d,
+                        beta: att.context,
                         done,
                     });
                 }

@@ -225,17 +225,16 @@ impl TransformerSeq2Seq {
         crate::train::fit_slice(self, data, epochs)
     }
 
-    /// Greedy decoding (re-runs the decoder per step). The copy alignment
-    /// is accepted for interface parity but unused — the stock transformer
-    /// baseline has no copy mechanism.
+    /// Greedy decoding on one frozen tape: the source is encoded once,
+    /// and each step re-runs the decoder over the prefix so far. The copy
+    /// alignment is accepted for interface parity but unused — the stock
+    /// transformer baseline has no copy mechanism.
     pub fn decode_greedy(&self, src: &[usize], _copy: &[Option<usize>]) -> Vec<usize> {
         let eos = self.out_vocab.eos();
-        let mut seq: Vec<usize> = Vec::new();
+        let mut g = Graph::frozen();
+        let enc = self.encode(&mut g, src);
+        let mut dec_in = vec![self.out_vocab.bos()];
         for _ in 0..MAX_DECODE_LEN {
-            let mut g = Graph::new();
-            let enc = self.encode(&mut g, src);
-            let mut dec_in = vec![self.out_vocab.bos()];
-            dec_in.extend(&seq);
             let h = self.decode_states(&mut g, enc, &dec_in);
             let last = g.row(h, dec_in.len() - 1);
             let logits = self.out_proj.forward(&mut g, &self.store, last);
@@ -243,9 +242,9 @@ impl TransformerSeq2Seq {
             if next == eos {
                 break;
             }
-            seq.push(next);
+            dec_in.push(next);
         }
-        seq
+        dec_in.split_off(1)
     }
 }
 

@@ -270,6 +270,33 @@ fn hot_swap_is_seamless_and_failed_swap_keeps_the_old_model() {
     assert!(failed.contains("\"code\":\"checkpoint_failed\""), "{failed}");
     assert_eq!(c.roundtrip(&ask), before, "answer changed after a failed swap");
 
+    // So does a swap to a checkpoint whose model config cannot serve:
+    // the load rejects it before building a model that would panic the
+    // engine thread (a zero beam width) or the load itself (no char-CNN
+    // widths).
+    let manifest = std::fs::read_to_string(sys.ckpt.join("manifest.json")).expect("manifest");
+    let edits = [
+        ("\"beam_width\":5", "\"beam_width\":0"),
+        ("\"char_widths\":[3]", "\"char_widths\":[]"),
+    ];
+    for (i, (from, to)) in edits.into_iter().enumerate() {
+        assert!(manifest.contains(from), "{manifest}");
+        let dir = std::env::temp_dir()
+            .join(format!("nlidb-serve-test-bad-ckpt-{}-{i}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create checkpoint copy");
+        for entry in std::fs::read_dir(&sys.ckpt).expect("read checkpoint") {
+            let path = entry.expect("checkpoint entry").path();
+            std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+        }
+        std::fs::write(dir.join("manifest.json"), manifest.replace(from, to)).expect("edit");
+        let failed = c.roundtrip(&Request::new(10 + i as i64, "ops", Op::SwapCheckpoint {
+            path: dir.display().to_string(),
+        }));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(failed.contains("\"code\":\"checkpoint_failed\""), "{to}: {failed}");
+        assert_eq!(c.roundtrip(&ask), before, "answer changed after a swap to {to}");
+    }
+
     let stats = c.roundtrip(&Request::new(4, "ops", Op::Stats));
     assert!(stats.contains("\"swaps\":1"), "exactly one successful swap: {stats}");
 

@@ -18,16 +18,22 @@
 //! a training tape ([`Graph::new`]) the rows already depend on the
 //! embedding parameters and `track` adds nothing.
 //!
+//! One rule decides the mode: training tapes train, frozen tapes infer.
+//! A frozen tape binds each parameter once per version of its
+//! [`ParamStore`] (see [`crate::params`]), so an inference that runs many
+//! steps or scores many columns on one tape copies each weight into it
+//! once; a training tape pushes a tracked node per bind.
+//!
 //! ## Buffer arena
 //!
 //! Every forward value, backward temporary, and gradient buffer is drawn
-//! from an internal free-list arena keyed by element count, and
-//! [`Graph::reset`] recycles all of them for the next tape. Hot loops
-//! (decode steps, per-example training) reuse one `Graph` via `reset()`
-//! instead of constructing a fresh one, so steady-state forward/backward
-//! passes allocate (almost) nothing. Recycling never changes values: a
-//! recycled buffer is either fully overwritten or explicitly zeroed before
-//! use, so results are bitwise identical to a fresh graph.
+//! from an internal free-list arena keyed by element count. Backward
+//! temporaries and superseded gradients go back to the arena as soon as
+//! they are spent, so one tape's later ops and later backward passes
+//! reuse them. Recycling never changes values: a recycled buffer is either
+//! fully overwritten or explicitly zeroed before use, so results are
+//! bitwise identical to freshly allocated ones. A tape is built for one
+//! loss or one inference and then dropped; no loop reuses a tape.
 
 use nlidb_trace as trace;
 
@@ -183,6 +189,8 @@ pub struct Graph {
     arena: Arena,
     /// Parameters bind as constants (see [`Graph::frozen`]).
     frozen: bool,
+    /// A frozen tape's bindings, keyed by `(store version, parameter)`.
+    bound: std::collections::HashMap<(u64, ParamId), NodeId>,
 }
 
 impl Graph {
@@ -197,32 +205,10 @@ impl Graph {
     /// empty and a backward computes gradients only for nodes that depend
     /// on an [`Graph::input`] (or a [`Graph::track`]ed node). Forward
     /// values, and the gradients of those inputs, are bit-for-bit what a
-    /// training tape computes for the same ops. [`Graph::reset`] keeps the
-    /// mode.
+    /// training tape computes for the same ops. Each parameter binds once
+    /// (see [`Graph::param`]).
     pub fn frozen() -> Self {
         Graph { frozen: true, ..Self::default() }
-    }
-
-    /// Clears the tape for reuse, recycling every node value and gradient
-    /// buffer into the internal arena. A frozen tape stays frozen.
-    ///
-    /// Hot loops (decode steps, per-example training) call this instead of
-    /// constructing a fresh `Graph` so that the next forward/backward pass
-    /// reuses this tape's buffers instead of reallocating them. All
-    /// `NodeId`s from before the reset are invalidated.
-    pub fn reset(&mut self) {
-        for node in self.nodes.drain(..) {
-            if let Op::BceWithLogits(_, targets) = node.op {
-                self.arena.give(targets);
-            }
-            self.arena.give(node.value);
-        }
-        for slot in self.grads.drain(..) {
-            if let Some(t) = slot {
-                self.arena.give(t);
-            }
-        }
-        self.param_bindings.clear();
     }
 
     fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> NodeId {
@@ -280,14 +266,23 @@ impl Graph {
         self.push(value, Op::Input, true)
     }
 
-    /// Binds a stored parameter into this graph: gradient-tracked on a
-    /// training tape, a constant leaf on a [`Graph::frozen`] one.
+    /// Binds a stored parameter into this graph: a new gradient-tracked
+    /// node per call on a training tape, a constant leaf on a
+    /// [`Graph::frozen`] one. A frozen tape binds each parameter once: a
+    /// second call for the same store version and id returns the first
+    /// node and copies nothing.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
+        let key = (store.version(), id);
+        if let Some(&node) = self.bound.get(&key) {
+            return node;
+        }
         let src = store.get(id);
         let mut value = self.arena.scratch(src.rows(), src.cols());
         value.data_mut().copy_from_slice(src.data());
         if self.frozen {
-            return self.push(value, Op::Leaf, false);
+            let node = self.push(value, Op::Leaf, false);
+            self.bound.insert(key, node);
+            return node;
         }
         let node = self.push(value, Op::Param, true);
         self.param_bindings.push((node, id));
@@ -1147,18 +1142,9 @@ fn bwd_span_name(op: &Op) -> &'static str {
     }
 }
 
-/// Row-wise softmax of a plain tensor (shared with inference-only paths).
-///
-/// Same fully-masked-row semantics as [`Graph::softmax_rows`]: an
-/// all-`-inf` row yields the uniform distribution `1/V` instead of the
-/// `0/0 = NaN` row the naive rewrite produces.
-pub fn softmax_rows_value(x: &Tensor) -> Tensor {
-    let mut v = Tensor::zeros(x.rows(), x.cols());
-    softmax_rows_into(x, &mut v);
-    v
-}
-
-/// Row-wise softmax into a caller-provided same-shape buffer.
+/// Row-wise softmax into a caller-provided same-shape buffer. A
+/// fully-masked row (all `-inf`) yields the uniform distribution `1/V`
+/// instead of the `0/0 = NaN` row the naive rewrite produces.
 fn softmax_rows_into(x: &Tensor, out: &mut Tensor) {
     for r in 0..x.rows() {
         let src = x.row(r);
@@ -1290,10 +1276,6 @@ mod tests {
         let l = g.log_softmax_rows(b);
         assert_eq!(g.value(l).row(0), &[-(4f32.ln()); 4], "masked row pins to -ln V");
         assert!(g.value(l).data().iter().all(|v| v.is_finite()));
-
-        // The standalone value-path helper has the same pinned semantics.
-        let v = softmax_rows_value(&x);
-        assert_eq!(v.row(0), &[0.25; 4]);
     }
 
     #[test]
@@ -1419,66 +1401,70 @@ mod tests {
         assert_eq!(g.grad(a).unwrap().data(), &[0.0, 1.0, 0.0]);
     }
 
-    /// Runs one forward/backward pass through a mixed-op tape and returns
-    /// (loss, input gradient, param gradients).
-    fn mixed_tape_pass(g: &mut Graph, store: &ParamStore, pids: &[ParamId]) -> (f32, Tensor, Vec<Tensor>) {
-        let x = g.input(Tensor::from_vec(3, 4, (0..12).map(|i| (i as f32) * 0.3 - 1.7).collect()));
-        let w = g.param(store, pids[0]);
-        let b = g.param(store, pids[1]);
-        let mm = g.matmul(x, w);
-        let biased = g.add_row(mm, b);
-        let act = g.tanh(biased);
-        let sm = g.softmax_rows(act);
-        let lsm = g.log_softmax_rows(act);
-        let gated = g.mul(sm, lsm);
-        let pooled = g.mean_rows(gated);
-        let loss = g.sum_all(pooled);
-        g.backward(loss);
-        let grads = g.param_grads();
-        (
-            g.value(loss).scalar(),
-            g.grad(x).unwrap().clone(),
-            grads.into_iter().map(|(_, t)| t).collect(),
-        )
-    }
-
     #[test]
-    fn reset_reuses_tape_with_bitwise_identical_results() {
-        // A reused (reset) graph must produce bit-for-bit the same loss,
-        // input gradients, and param gradients as a fresh graph, even
-        // though every buffer now comes from the recycling arena.
+    fn a_frozen_tape_binds_each_parameter_once() {
         let mut store = ParamStore::new();
-        let pids = vec![
-            store.add("w", Tensor::xavier_seeded(4, 5, 11)),
-            store.add("b", Tensor::xavier_seeded(1, 5, 12)),
-        ];
-        let mut fresh = Graph::new();
-        let (loss0, gx0, gp0) = mixed_tape_pass(&mut fresh, &store, &pids);
-
-        let mut reused = Graph::new();
-        for round in 0..5 {
-            reused.reset();
-            let (loss, gx, gp) = mixed_tape_pass(&mut reused, &store, &pids);
-            assert_eq!(loss.to_bits(), loss0.to_bits(), "round {round} loss");
-            assert_eq!(gx, gx0, "round {round} input grad");
-            assert_eq!(gp, gp0, "round {round} param grads");
-        }
+        let w = store.add("w", Tensor::row_vector(&[1.0, 2.0]));
+        let b = store.add("b", Tensor::row_vector(&[3.0]));
+        let mut g = Graph::frozen();
+        let first = g.param(&store, w);
+        let len = g.len();
+        assert_eq!(g.param(&store, w), first, "a second bind returns the first node");
+        assert_eq!(g.len(), len, "a second bind adds no node");
+        let other = g.param(&store, b);
+        assert_ne!(other, first);
+        assert_eq!(g.value(other).data(), &[3.0]);
+        assert_eq!(g.len(), len + 1);
     }
 
     #[test]
-    fn reset_invalidates_tape_but_keeps_graph_usable() {
+    fn stores_sharing_a_param_id_bind_to_their_own_values() {
+        let mut a = ParamStore::new();
+        let mut b = ParamStore::new();
+        let ia = a.add("w", Tensor::row_vector(&[1.0]));
+        let ib = b.add("w", Tensor::row_vector(&[2.0]));
+        assert_eq!(ia, ib, "both stores hand out the same id");
+        let mut g = Graph::frozen();
+        let na = g.param(&a, ia);
+        let nb = g.param(&b, ib);
+        assert_ne!(na, nb);
+        assert_eq!(g.value(na).data(), &[1.0]);
+        assert_eq!(g.value(nb).data(), &[2.0]);
+    }
+
+    #[test]
+    fn a_bind_after_a_store_mutation_carries_the_new_values() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::row_vector(&[1.0]));
+        let mut g = Graph::frozen();
+        let before = g.param(&store, w);
+        store.get_mut(w).data_mut()[0] = 5.0;
+        let after = g.param(&store, w);
+        assert_ne!(after, before);
+        assert_eq!(g.value(before).data(), &[1.0], "an earlier binding keeps its values");
+        assert_eq!(g.value(after).data(), &[5.0]);
+        // `add` renews the version too; the new binding is of the same values.
+        store.add("v", Tensor::row_vector(&[0.0]));
+        let added = g.param(&store, w);
+        assert_ne!(added, after);
+        assert_eq!(g.value(added).data(), &[5.0]);
+        assert_eq!(g.param(&store, w), added);
+    }
+
+    #[test]
+    fn a_training_tape_adds_a_param_node_per_bind() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::row_vector(&[1.0]));
         let mut g = Graph::new();
-        let a = g.input(Tensor::row_vector(&[1.0, 2.0]));
-        let s = g.sum_all(a);
-        g.backward(s);
-        assert!(g.grad(a).is_some());
-        g.reset();
-        assert!(g.is_empty());
-        assert_eq!(g.len(), 0);
-        let b = g.input(Tensor::row_vector(&[5.0]));
-        let s2 = g.sum_all(b);
-        g.backward(s2);
-        assert_eq!(g.grad(b).unwrap().data(), &[1.0]);
+        let first = g.param(&store, w);
+        let second = g.param(&store, w);
+        assert_ne!(first, second);
+        assert_eq!(g.len(), 2);
+        let s = g.add(first, second);
+        let loss = g.sum_all(s);
+        g.backward(loss);
+        assert!(g.grad(first).is_some() && g.grad(second).is_some());
+        assert_eq!(g.param_grads()[0].1.data(), &[2.0]);
     }
 
     /// Unfused reference for [`Graph::fused_gate`]: the exact composition

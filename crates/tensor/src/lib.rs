@@ -63,7 +63,7 @@ pub mod pool;
 pub mod rng;
 pub mod tensor;
 
-pub use graph::{softmax_rows_value, GateAct, Graph, NodeId};
+pub use graph::{GateAct, Graph, NodeId};
 pub use matmul::{matmul_kernel, set_matmul_kernel, MatmulKernel};
 pub use params::{ParamId, ParamStore};
 pub use rng::Rng;

@@ -6,8 +6,15 @@
 //! [`crate::optim`]. Binding a parameter into a graph with
 //! [`crate::graph::Graph::param`] records the (node, param) association so
 //! gradients can be routed back after `backward`.
+//!
+//! Every store carries a process-unique version: fresh when the store is
+//! built or deserialized, renewed by `add` and `get_mut`, and
+//! kept by a clone (equal values until one side mutates). A frozen tape
+//! keys its bindings on `(version, ParamId)`, so it never reuses one
+//! across stores or across a mutation.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use nlidb_json::{FromJson, Json, JsonError, ToJson};
 
@@ -43,6 +50,18 @@ pub struct ParamStore {
     values: Vec<Tensor>,
     // Derived from `names`; rebuilt after deserialization, never serialized.
     index: HashMap<String, ParamId>,
+    version: Version,
+}
+
+/// A store version; each `default()` is one no store has carried before.
+#[derive(Debug, Clone, Copy)]
+struct Version(u64);
+
+impl Default for Version {
+    fn default() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Version(NEXT.fetch_add(1, Ordering::SeqCst))
+    }
 }
 
 impl ToJson for ParamStore {
@@ -57,6 +76,7 @@ impl FromJson for ParamStore {
             names: j.req("names")?,
             values: j.req("values")?,
             index: HashMap::new(),
+            version: Version::default(),
         };
         if store.names.len() != store.values.len() {
             return Err(JsonError::new(format!(
@@ -84,6 +104,7 @@ impl ParamStore {
         let name = name.into();
         assert!(!self.index.contains_key(&name), "duplicate parameter name: {name}");
         let id = ParamId(self.values.len());
+        self.version = Version::default();
         self.index.insert(name.clone(), id);
         self.names.push(name);
         self.values.push(value);
@@ -100,9 +121,16 @@ impl ParamStore {
         &self.values[id.0]
     }
 
-    /// Mutable parameter value (used by optimizers).
+    /// Mutable parameter value (used by optimizers). Renews the store's
+    /// version, so no frozen tape reuses a binding made before the write.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
+        self.version = Version::default();
         &mut self.values[id.0]
+    }
+
+    /// The store's current version (see the module docs).
+    pub(crate) fn version(&self) -> u64 {
+        self.version.0
     }
 
     /// Parameter name.

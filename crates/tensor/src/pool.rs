@@ -24,6 +24,14 @@
 //! (inner) from deadlocking the fixed-size pool and keeps each task's
 //! arithmetic single-threaded and reproducible.
 //!
+//! A task that panics counts as finished: every task runs under
+//! `catch_unwind`, the worker that ran it lives on, and [`parallel_for`]
+//! re-raises the first panic on the caller once every task of the job
+//! has finished, so no worker is still reading the caller's closure when
+//! the caller unwinds. Locks are taken poison-tolerant, and a worker
+//! that cannot be spawned is simply missing: the caller drains every job
+//! it enqueues itself.
+//!
 //! ## The `NLIDB_THREADS` knob
 //!
 //! The pool size defaults to `NLIDB_THREADS` when set (minimum 1), else
@@ -31,9 +39,11 @@
 //! pool entirely. [`set_threads`] overrides the size at runtime (tests
 //! and benches use it to compare serial vs parallel in one process).
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use nlidb_trace as trace;
 
@@ -82,10 +92,17 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
+/// Locks `m`, taking the data of a lock a panicking thread left poisoned:
+/// every value guarded here stays consistent across a panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One fan-out: a lifetime-erased task function plus progress counters.
 struct Job {
     /// Points at the caller's closure. Valid until `done` flips because
-    /// the caller blocks in [`parallel_for`] until every task finished.
+    /// the caller blocks in [`parallel_for`] until every task finished,
+    /// panicking ones included.
     task: *const (dyn Fn(usize) + Sync),
     total: usize,
     /// Next unclaimed task index.
@@ -94,6 +111,8 @@ struct Job {
     unfinished: AtomicUsize,
     done: Mutex<bool>,
     done_cv: Condvar,
+    /// The first panic a task raised, re-raised on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: `Job` is only non-auto-`Send` because of the raw `task`
@@ -129,10 +148,12 @@ impl Job {
             }
             claimed += 1;
             // SAFETY: see the struct-level invariant on `task`.
-            (unsafe { &*self.task })(i);
+            let task = unsafe { &*self.task };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+                lock(&self.panic).get_or_insert(payload);
+            }
             if self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut done = self.done.lock().expect("job latch poisoned");
-                *done = true;
+                *lock(&self.done) = true;
                 self.done_cv.notify_all();
             }
         }
@@ -149,9 +170,9 @@ impl Job {
 
     /// Blocks until every task has finished.
     fn wait(&self) {
-        let mut done = self.done.lock().expect("job latch poisoned");
+        let mut done = lock(&self.done);
         while !*done {
-            done = self.done_cv.wait(done).expect("job latch poisoned");
+            done = self.done_cv.wait(done).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -172,20 +193,23 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Ensures at least `target` detached workers exist.
+/// Tries to ensure at least `target` detached workers exist, stopping at
+/// the first spawn that fails (the caller drains its jobs regardless).
 fn ensure_workers(target: usize) {
     let p = pool();
     if p.spawned.load(Ordering::Relaxed) >= target {
         return;
     }
     // The queue lock doubles as the spawn lock.
-    let _guard = p.queue.lock().expect("pool queue poisoned");
+    let _guard = lock(&p.queue);
     while p.spawned.load(Ordering::Relaxed) < target {
-        let id = p.spawned.fetch_add(1, Ordering::Relaxed);
-        std::thread::Builder::new()
-            .name(format!("nlidb-pool-{id}"))
-            .spawn(worker_loop)
-            .expect("spawn pool worker");
+        let id = p.spawned.load(Ordering::Relaxed);
+        let spawned =
+            std::thread::Builder::new().name(format!("nlidb-pool-{id}")).spawn(worker_loop);
+        if spawned.is_err() {
+            return;
+        }
+        p.spawned.store(id + 1, Ordering::Relaxed);
     }
 }
 
@@ -194,7 +218,7 @@ fn worker_loop() {
     let p = pool();
     loop {
         let job = {
-            let mut q = p.queue.lock().expect("pool queue poisoned");
+            let mut q = lock(&p.queue);
             loop {
                 // Drop fully-claimed jobs; their claimants finish them.
                 while q
@@ -205,7 +229,7 @@ fn worker_loop() {
                 }
                 match q.front() {
                     Some(j) => break Arc::clone(j),
-                    None => q = p.ready.wait(q).expect("pool queue poisoned"),
+                    None => q = p.ready.wait(q).unwrap_or_else(PoisonError::into_inner),
                 }
             }
         };
@@ -214,7 +238,8 @@ fn worker_loop() {
 }
 
 /// Runs `f(0), f(1), ..., f(tasks - 1)` exactly once each, fanning out
-/// across the pool. Blocks until every invocation has returned.
+/// across the pool. Blocks until every invocation has returned; if any
+/// panicked, re-raises the first panic then.
 ///
 /// Tasks must be independent: which thread runs which index, and in what
 /// order, is unspecified. With a pool size of 1 (or when called from
@@ -250,15 +275,19 @@ pub fn parallel_for<F: Fn(usize) + Sync>(tasks: usize, f: F) {
         unfinished: AtomicUsize::new(tasks),
         done: Mutex::new(false),
         done_cv: Condvar::new(),
+        panic: Mutex::new(None),
     });
     {
         let p = pool();
-        let mut q = p.queue.lock().expect("pool queue poisoned");
-        q.push_back(Arc::clone(&job));
+        lock(&p.queue).push_back(Arc::clone(&job));
         p.ready.notify_all();
     }
     job.drain();
     job.wait();
+    let panic = lock(&job.panic).take();
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
 }
 
 /// Raw-pointer wrapper that lets disjoint sub-slices be written from
@@ -384,6 +413,55 @@ mod tests {
         let _guard = threads_lock();
         set_threads(0);
         assert_eq!(num_threads(), 1);
+        set_threads(default_threads());
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_and_the_pool_survives() {
+        use std::time::Duration;
+
+        let _guard = threads_lock();
+        set_threads(2);
+        // Runs two tasks. A task on the calling thread holds it until a
+        // worker has run a task (or ten seconds pass), so a worker claims
+        // one. Returns the names of the threads that ran a task.
+        fn fan_out(panic_on_worker: bool) -> std::thread::Result<Vec<String>> {
+            let worker_ran = (Mutex::new(false), Condvar::new());
+            let names = Mutex::new(Vec::new());
+            catch_unwind(AssertUnwindSafe(|| {
+                parallel_for(2, |_| {
+                    let name = std::thread::current().name().unwrap_or_default().to_string();
+                    lock(&names).push(name);
+                    if IN_WORKER.with(|w| w.get()) {
+                        *lock(&worker_ran.0) = true;
+                        worker_ran.1.notify_all();
+                        assert!(!panic_on_worker, "worker task failed");
+                    } else {
+                        let ran = lock(&worker_ran.0);
+                        let wait = Duration::from_secs(10);
+                        let _ = worker_ran.1.wait_timeout_while(ran, wait, |ran| !*ran);
+                    }
+                });
+            }))
+            .map(|()| names.into_inner().unwrap_or_else(PoisonError::into_inner))
+        }
+        // A watchdog turns a hang into a failure instead of a stuck suite;
+        // a hung fan-out leaves its thread detached.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let panicked = fan_out(true)
+                .err()
+                .map(|p| p.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default());
+            let names = fan_out(false).unwrap_or_default();
+            let _ = tx.send((panicked, names));
+        });
+        let (panicked, names) =
+            rx.recv_timeout(Duration::from_secs(60)).expect("parallel_for hung on a worker panic");
+        assert_eq!(panicked.as_deref(), Some("worker task failed"));
+        assert!(
+            names.iter().any(|n| n.starts_with("nlidb-pool-")),
+            "no pool worker ran a task after the panic: {names:?}"
+        );
         set_threads(default_threads());
     }
 

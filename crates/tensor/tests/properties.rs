@@ -428,11 +428,24 @@ struct TapeOutcome {
 /// `fused_gate` (either activation), `hcat`, `vcat`, `row_slice`, `tanh`,
 /// `sigmoid` and `softmax_rows`, reduced to one logit under
 /// `bce_with_logits`. The draws do not depend on the tape mode, so the
-/// training and frozen passes of a case build the same ops.
+/// training and frozen passes of a case build the same ops. Every
+/// parameter is bound twice, and the ops read the second binding: a frozen
+/// tape must hand back its first node, a training tape push a second.
 fn random_tape_pass(case: u64, frozen: bool) -> TapeOutcome {
     fn param(store: &mut ParamStore, rng: &mut Rng, rows: usize, cols: usize) -> ParamId {
         let name = format!("p{}", store.len());
         store.add(name, arb_tensor(rng, rows, cols))
+    }
+    fn bind(g: &mut Graph, store: &ParamStore, id: ParamId, frozen: bool) -> NodeId {
+        let first = g.param(store, id);
+        let len = g.len();
+        let second = g.param(store, id);
+        if frozen {
+            assert_eq!((second, g.len()), (first, len), "a frozen tape bound a parameter twice");
+        } else {
+            assert_eq!(g.len(), len + 1, "a training tape must push a node per bind");
+        }
+        second
     }
     let mut rng = case_rng(40, case);
     let mut store = ParamStore::new();
@@ -442,7 +455,7 @@ fn random_tape_pass(case: u64, frozen: bool) -> TapeOutcome {
         let width = rng.gen_range(1..5usize);
         let table = param(&mut store, &mut rng, 6, width);
         let ids: Vec<usize> = (0..n).map(|_| rng.gen_range(0..6usize)).collect();
-        let table = g.param(&store, table);
+        let table = bind(&mut g, &store, table, frozen);
         let rows = g.gather_rows(table, ids);
         let len = g.len();
         let tracked = g.track(rows);
@@ -459,12 +472,12 @@ fn random_tape_pass(case: u64, frozen: bool) -> TapeOutcome {
             0 => {
                 let k = rng.gen_range(1..5usize);
                 let w = param(&mut store, &mut rng, cols, k);
-                let w = g.param(&store, w);
+                let w = bind(&mut g, &store, w, frozen);
                 g.matmul(x, w)
             }
             1 => {
                 let b = param(&mut store, &mut rng, 1, cols);
-                let b = g.param(&store, b);
+                let b = bind(&mut g, &store, b, frozen);
                 g.add_row(x, b)
             }
             2 => g.tanh(x),
@@ -480,11 +493,11 @@ fn random_tape_pass(case: u64, frozen: bool) -> TapeOutcome {
                     g.leaf(arb_tensor(&mut rng, rows, kh))
                 } else {
                     let wp = param(&mut store, &mut rng, cols, kh);
-                    let wp = g.param(&store, wp);
+                    let wp = bind(&mut g, &store, wp, frozen);
                     g.matmul(x, wp)
                 };
                 let act = if rng.gen_bool(0.5) { GateAct::Sigmoid } else { GateAct::Tanh };
-                let [wx, wh, b] = [wx, wh, b].map(|p| g.param(&store, p));
+                let [wx, wh, b] = [wx, wh, b].map(|p| bind(&mut g, &store, p, frozen));
                 g.fused_gate(x, wx, h, wh, b, act)
             }
             6 => {
@@ -515,7 +528,7 @@ fn random_tape_pass(case: u64, frozen: bool) -> TapeOutcome {
     let r = rng.gen_range(0..rows);
     let row = g.row_slice(x, r, r + 1);
     let w_out = param(&mut store, &mut rng, cols, 1);
-    let w_out = g.param(&store, w_out);
+    let w_out = bind(&mut g, &store, w_out, frozen);
     let logit = g.matmul(row, w_out);
     let target = if rng.gen_bool(0.5) { 1.0 } else { 0.0 };
     let loss = g.bce_with_logits(logit, Tensor::row_vector(&[target]));
