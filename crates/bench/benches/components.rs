@@ -337,6 +337,30 @@ fn bench_serve(records: &mut Vec<Record>) {
     bench("serve/batch_64_warm", records, || {
         black_box(warm.serve(black_box(&reqs)));
     });
+
+    // One uncached question on each of two tables: at pool width 2 both
+    // misses run in one fan-out, at width 1 one after the other.
+    let first = &ds.dev[0];
+    let second = ds
+        .dev
+        .iter()
+        .find(|e| e.table.fingerprint() != first.table.fingerprint())
+        .expect("two dev tables");
+    let two_tables = [first, second]
+        .map(|e| ServeRequest { question: &e.question, table: &e.table, guided: false });
+    let serve_at = |threads: usize| {
+        pool::set_threads(threads);
+        let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(0));
+        black_box(engine.serve(black_box(&two_tables)));
+    };
+    let parallel = pool::default_threads().max(2);
+    bench_pair(
+        ["serve/miss_2_tables", "serve/miss_2_tables_serial"],
+        records,
+        || serve_at(parallel),
+        || serve_at(1),
+    );
+    pool::set_threads(pool::default_threads());
 }
 
 /// The TCP serving layer end to end: one `ask` round trip over loopback

@@ -5,21 +5,33 @@
 //! content-match value index — for each question. Serving workloads
 //! (WikiSQL-style evaluation, interactive traffic) ask thousands of
 //! questions against a handful of schemas, so [`ServeEngine::serve`]
-//! amortizes that work:
+//! amortizes that work and spreads what is left across the
+//! `nlidb_tensor::pool`:
 //!
 //! 1. **Group by table.** Requests are grouped by
-//!    [`Table::fingerprint`] in first-appearance order; each group
-//!    builds its [`TableContext`](crate::pipeline::TableContext) once,
-//!    reusing the fingerprint the grouping already computed.
-//! 2. **Fan out.** Within a group, distinct questions run the
-//!    pipeline's one inference body (annotate → decode → commit, the
-//!    commit being the repair walk for guided requests) in parallel
-//!    across the `nlidb_tensor::pool`, each writing to its own slot.
-//!    Results are returned in request order.
-//! 3. **Cache.** A deterministic bounded [`PredictionCache`] keyed by
-//!    `(table fingerprint, tokenized question, guided flag)` serves
-//!    repeats across batches; duplicates *within* a batch are
+//!    [`Table::fingerprint`] in first-appearance order. The fingerprint
+//!    is hashed once per request: it is the table half of every cache
+//!    key and the fingerprint of the group's [`TableContext`].
+//! 2. **Look up.** On the calling thread, group by group and request by
+//!    request, a deterministic bounded [`PredictionCache`] keyed by
+//!    `(table fingerprint, tokenized question, guided flag)` answers
+//!    repeats across batches, and duplicates *within* a batch are
 //!    deduplicated to one computation regardless of cache settings.
+//! 3. **Fan out, a wave at a time.** The groups left with misses are
+//!    taken in waves of `pool::num_threads()` groups. A wave builds its
+//!    groups' contexts across the pool, one task per group, once for all
+//!    of a group's misses. Then every distinct miss of the wave, whatever
+//!    its table, runs the pipeline's one inference body (annotate →
+//!    decode → commit, the commit being the repair walk for guided
+//!    requests) in one pool fan-out, each writing to its own slot. The
+//!    wave's contexts are dropped before the next wave starts, so a
+//!    batch never holds more live contexts than the pool has threads,
+//!    and two questions on two tables keep two threads busy.
+//! 4. **Publish.** On the calling thread, group by group and question by
+//!    question, each answer goes to every request waiting on it and into
+//!    the cache. Results are returned in request order.
+//!
+//! A fully cached batch builds no context and enqueues no pool job.
 //!
 //! ## Determinism contract
 //!
@@ -34,22 +46,30 @@
 //! The argument:
 //!
 //! - the per-table context is a pure function of the table, so sharing
-//!   one context across a group changes *when* state is computed, never
-//!   *what* is computed;
+//!   one context across a group, or building a wave's contexts on
+//!   different threads, changes *when* and *where* state is computed,
+//!   never *what* is computed;
 //! - per-request predictions are independent pure functions of
 //!   `(question, context, trained parameters)` written to disjoint
 //!   slots, so thread scheduling cannot reorder any float;
-//! - cache lookups and insertions happen on the calling thread, in
-//!   request order, *outside* the parallel section — hit/miss behavior
-//!   and eviction order are functions of the request stream alone; and
+//! - every cache operation happens on the calling thread, *outside* the
+//!   parallel sections, in one fixed order: all of a batch's lookups
+//!   (group order, then request order) before all of its insertions
+//!   (group order, then question order). Hits, misses, insertions,
+//!   evictions and the per-table counts are therefore functions of the
+//!   request stream and the batch boundaries alone, at any pool width.
+//!   Because lookups come first, a later group's lookup can hit an entry
+//!   that an earlier group's insertions in the same batch then evict;
+//!   answering one group after another would have missed it and
+//!   recomputed the same prediction; and
 //! - a cache hit returns a stored prediction that the deterministic
 //!   pipeline would reproduce exactly, so serving from cache cannot
 //!   change bytes.
 //!
-//! Trace families: `serve.*` spans (`serve.batch`, `serve.group`,
-//! `serve.context`, `serve.predict`) and counters (`serve.requests`,
-//! `serve.groups`, `serve.dedup`, `serve.cache.hits`,
-//! `serve.cache.misses`, `serve.cache.insertions`,
+//! Trace families: `serve.*` spans (`serve.batch`; `serve.group` around
+//! each group's lookups; `serve.context` and `serve.predict` per pool
+//! task) and counters (`serve.requests`, `serve.groups`, `serve.dedup`,
+//! `serve.cache.hits`, `serve.cache.misses`, `serve.cache.insertions`,
 //! `serve.cache.evictions`).
 
 use std::collections::BTreeMap;
@@ -58,7 +78,7 @@ use nlidb_sqlir::Query;
 use nlidb_storage::Table;
 use nlidb_tensor::pool;
 
-use crate::pipeline::Nlidb;
+use crate::pipeline::{Nlidb, TableContext};
 
 /// One serving request: a tokenized question against a table.
 #[derive(Debug, Clone, Copy)]
@@ -262,6 +282,9 @@ struct Group<'a> {
     fingerprint: u64,
     /// Request indices into the batch, ascending.
     indices: Vec<usize>,
+    /// The group's distinct cache misses in first-request order, each
+    /// with the request indices waiting on it (filled by the lookups).
+    misses: Vec<(CacheKey, Vec<usize>)>,
 }
 
 /// The batched inference engine: a trained system plus a prediction
@@ -305,45 +328,76 @@ impl<'m> ServeEngine<'m> {
         let _batch = nlidb_trace::span("serve.batch");
         nlidb_trace::count("serve.requests", requests.len() as u64);
 
-        // Group requests by table content, first-appearance order.
+        // Step 1: group requests by table content, first-appearance order.
         let mut group_of: BTreeMap<u64, usize> = BTreeMap::new();
         let mut groups: Vec<Group<'_>> = Vec::new();
         for (i, r) in requests.iter().enumerate() {
-            let fp = r.table.fingerprint();
-            let gi = *group_of.entry(fp).or_insert_with(|| {
-                groups.push(Group { table: r.table, fingerprint: fp, indices: Vec::new() });
+            let fingerprint = r.table.fingerprint();
+            let gi = *group_of.entry(fingerprint).or_insert_with(|| {
+                groups.push(Group {
+                    table: r.table,
+                    fingerprint,
+                    indices: Vec::new(),
+                    misses: Vec::new(),
+                });
                 groups.len() - 1
             });
-            groups[gi].indices.push(i);
+            if let Some(group) = groups.get_mut(gi) {
+                group.indices.push(i);
+            }
         }
         nlidb_trace::count("serve.groups", groups.len() as u64);
 
+        // Step 2 (calling thread): every lookup of the batch, before any
+        // insertion. Everything that touches the cache happens here or in
+        // step 4 — never inside a parallel section — so cache state and
+        // counters are functions of the request stream alone.
         let mut results: Vec<Option<Option<Query>>> = vec![None; requests.len()];
-        for group in &groups {
+        for group in &mut groups {
             let _g = nlidb_trace::span("serve.group");
-            self.serve_group(requests, group, &mut results);
+            self.look_up(requests, group, &mut results);
         }
-        // Every slot is filled by `serve_group`; an unfilled slot would
-        // be an engine bug, and degrades to "no prediction" instead of
-        // crashing the caller (the TCP server maps that to a typed
+
+        // Step 3: the misses, a wave of pool-width groups at a time. A
+        // fully cached batch has no wave: no context, no pool job.
+        let pending: Vec<&Group<'_>> = groups.iter().filter(|g| !g.misses.is_empty()).collect();
+        let mut answers: Vec<Option<Option<Query>>> = Vec::new();
+        for wave in pending.chunks(pool::num_threads().max(1)) {
+            answers.extend(self.answer_wave(requests, wave));
+        }
+
+        // Step 4 (calling thread, group then question order): publish to
+        // every waiter and insert into the cache. `answers` holds one slot
+        // per miss in this same order; a missing or unwritten slot (an
+        // engine bug) degrades to "no prediction" rather than a panic.
+        let mut answers = answers.into_iter();
+        for group in groups {
+            for (key, waiters) in group.misses {
+                let value = answers.next().flatten().flatten();
+                for i in waiters {
+                    if let Some(slot) = results.get_mut(i) {
+                        *slot = Some(value.clone());
+                    }
+                }
+                self.cache.insert(key, value);
+            }
+        }
+        // Every slot is filled by a hit or by step 4; an unfilled slot
+        // would be an engine bug, and degrades to "no prediction" instead
+        // of crashing the caller (the TCP server maps that to a typed
         // `internal` error, not a dropped connection).
-        results.into_iter().map(|r| r.flatten()).collect()
+        results.into_iter().map(Option::flatten).collect()
     }
 
-    /// Serves one table group: sequential cache/dedup pass, parallel
-    /// fan-out over unique misses, sequential write-back and insertion.
-    fn serve_group(
+    /// Resolves one group's cache hits into `results` and records its
+    /// distinct misses in `group.misses`, deduplicating identical
+    /// in-flight questions, in request order.
+    fn look_up(
         &mut self,
         requests: &[ServeRequest<'_>],
-        group: &Group<'_>,
+        group: &mut Group<'_>,
         results: &mut [Option<Option<Query>>],
     ) {
-        // Phase 1 (calling thread, request order): resolve cache hits and
-        // deduplicate identical in-flight questions. Everything that
-        // touches the cache happens here or in phase 3 — never inside the
-        // parallel section — so cache state and counters are functions of
-        // the request stream alone.
-        let mut unique: Vec<(CacheKey, Vec<usize>)> = Vec::new();
         let mut slot_of: BTreeMap<CacheKey, usize> = BTreeMap::new();
         for &i in &group.indices {
             let Some(req) = requests.get(i) else { continue };
@@ -353,62 +407,66 @@ impl<'m> ServeEngine<'m> {
                 guided: req.guided,
             };
             if let Some(cached) = self.cache.get(&key) {
-                results[i] = Some(cached.clone());
+                if let Some(slot) = results.get_mut(i) {
+                    *slot = Some(cached.clone());
+                }
                 continue;
             }
-            match slot_of.get(&key) {
-                Some(&s) => {
-                    unique[s].1.push(i);
+            match slot_of.get(&key).and_then(|&s| group.misses.get_mut(s)) {
+                Some((_, waiters)) => {
+                    waiters.push(i);
                     nlidb_trace::count("serve.dedup", 1);
                 }
                 None => {
-                    slot_of.insert(key.clone(), unique.len());
-                    unique.push((key, vec![i]));
+                    slot_of.insert(key.clone(), group.misses.len());
+                    group.misses.push((key, vec![i]));
                 }
             }
         }
-        if unique.is_empty() {
-            return; // Every request hit the cache: skip the context build.
-        }
+    }
 
-        // The group's shared annotation context, built once for every miss
-        // in the group. Pure in the table, so building it here (rather
-        // than per request, or not at all on a fully-cached batch) cannot
-        // change any prediction.
-        let ctx = {
-            let _c = nlidb_trace::span("serve.context");
-            self.nlidb.context_with_fingerprint(group.table, group.fingerprint)
-        };
-
-        // Phase 2: fan the unique questions across the pool. Slot `u`
-        // always holds question `u`'s prediction (disjoint writes, fixed
-        // sharding), so the outcome is thread-count independent.
-        let mut computed: Vec<Option<Option<Query>>> = vec![None; unique.len()];
+    /// Answers every miss of one wave of groups: the wave's contexts are
+    /// built across the pool (one task per group), then all of its misses
+    /// run in one fan-out. Returns one slot per miss, in group order then
+    /// question order; the contexts are dropped on return.
+    fn answer_wave(
+        &self,
+        requests: &[ServeRequest<'_>],
+        wave: &[&Group<'_>],
+    ) -> Vec<Option<Option<Query>>> {
         let nlidb = self.nlidb;
-        let ctx = &ctx;
-        let table = group.table;
-        pool::parallel_for_chunks(&mut computed, 1, |u, slot| {
-            let _t = nlidb_trace::span("serve.predict");
-            let req = unique
-                .get(u)
-                .and_then(|(_, waiters)| waiters.first())
-                .and_then(|&first| requests.get(first));
-            if let (Some(out), Some(req)) = (slot.first_mut(), req) {
-                *out = Some(nlidb.answer(req.question, ctx, req.guided.then_some(table)));
+        // Each context is pure in its table, so building it once per group,
+        // on whichever thread, cannot change any prediction.
+        let mut contexts: Vec<Option<TableContext>> = wave.iter().map(|_| None).collect();
+        pool::parallel_for_chunks(&mut contexts, 1, |w, slot| {
+            let _c = nlidb_trace::span("serve.context");
+            if let (Some(out), Some(group)) = (slot.first_mut(), wave.get(w)) {
+                *out = Some(nlidb.context_with_fingerprint(group.table, group.fingerprint));
             }
         });
 
-        // Phase 3 (calling thread, question order): publish to every
-        // waiter and insert into the cache.
-        for ((key, waiters), computed) in unique.into_iter().zip(computed) {
-            // The fan-out writes every slot; an unwritten one (a bug)
-            // degrades to "no prediction" rather than a panic here.
-            let value = computed.flatten();
-            for i in waiters {
-                results[i] = Some(value.clone());
+        // One job per miss: its group's slot in the wave and the request
+        // whose question and mode it answers. Slot `j` always holds job
+        // `j`'s prediction (disjoint writes, fixed sharding), so the
+        // outcome is thread-count independent.
+        let jobs: Vec<(usize, Option<usize>)> = wave
+            .iter()
+            .enumerate()
+            .flat_map(|(w, group)| {
+                group.misses.iter().map(move |(_, waiters)| (w, waiters.first().copied()))
+            })
+            .collect();
+        let mut computed: Vec<Option<Option<Query>>> = vec![None; jobs.len()];
+        pool::parallel_for_chunks(&mut computed, 1, |j, slot| {
+            let _t = nlidb_trace::span("serve.predict");
+            let job = jobs.get(j).and_then(|&(w, first)| {
+                Some((wave.get(w)?, contexts.get(w)?.as_ref()?, requests.get(first?)?))
+            });
+            if let (Some(out), Some((group, ctx, req))) = (slot.first_mut(), job) {
+                *out = Some(nlidb.answer(req.question, ctx, req.guided.then_some(group.table)));
             }
-            self.cache.insert(key, value);
-        }
+        });
+        computed
     }
 }
 
@@ -531,6 +589,76 @@ mod tests {
                 self.items.remove(0);
             }
         }
+    }
+
+    #[test]
+    fn every_lookup_precedes_every_insertion_at_any_pool_width() {
+        use crate::{ModelConfig, NlidbOptions};
+        use nlidb_data::wikisql::{generate, WikiSqlConfig};
+
+        let mut gen_cfg = WikiSqlConfig::tiny(3004);
+        gen_cfg.train_tables = 4;
+        gen_cfg.questions_per_table = 4;
+        let ds = generate(&gen_cfg);
+        let nlidb =
+            Nlidb::train(&ds, NlidbOptions { model: ModelConfig::tiny(), ..NlidbOptions::default() });
+        // Table `a` with two distinct questions, then another table `b`.
+        let (a, a1, a2) = ds
+            .dev
+            .iter()
+            .find_map(|x| {
+                let y = ds.dev.iter().find(|y| y.table == x.table && y.question != x.question)?;
+                Some((&*x.table, &x.question, &y.question))
+            })
+            .expect("a dev table with two distinct questions");
+        let (b, b1) = ds
+            .dev
+            .iter()
+            .find(|e| e.table.fingerprint() != a.fingerprint())
+            .map(|e| (&*e.table, &e.question))
+            .expect("a second dev table");
+        let (fa, fb) = (a.fingerprint(), b.fingerprint());
+        let warm = [ServeRequest { question: b1, table: b, guided: false }];
+        let batch = [
+            ServeRequest { question: a1, table: a, guided: false },
+            ServeRequest { question: a2, table: a, guided: false },
+            ServeRequest { question: b1, table: b, guided: false },
+        ];
+        let sequential: Vec<Option<Query>> =
+            batch.iter().map(|r| nlidb.predict(r.question, r.table)).collect();
+
+        for threads in [1, pool::default_threads().max(2)] {
+            pool::set_threads(threads);
+            let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(2));
+            engine.serve(&warm);
+            // Lookups: a1 and a2 miss, b1 hits. Insertions: a1, then a2,
+            // which evicts b1. Serving group `a` before looking up group
+            // `b` would have evicted b1 first, missed it and recomputed.
+            assert_eq!(engine.serve(&batch), sequential, "threads={threads}");
+            let c = engine.cache();
+            assert_eq!(
+                (c.hits(), c.misses(), c.insertions(), c.evictions()),
+                (1, 3, 3, 1),
+                "threads={threads}"
+            );
+            assert_eq!(
+                c.table_stats(fa),
+                CacheTableStats { hits: 0, misses: 2, insertions: 2, evictions: 0 },
+                "threads={threads}"
+            );
+            assert_eq!(
+                c.table_stats(fb),
+                CacheTableStats { hits: 1, misses: 1, insertions: 1, evictions: 1 },
+                "threads={threads}"
+            );
+            let key = |question: &[String]| CacheKey {
+                fingerprint: fa,
+                question: question.to_vec(),
+                guided: false,
+            };
+            assert_eq!(c.keys_oldest_first(), [&key(a1), &key(a2)], "threads={threads}");
+        }
+        pool::set_threads(pool::default_threads());
     }
 
     #[test]

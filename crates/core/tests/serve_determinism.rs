@@ -14,7 +14,7 @@ use nlidb_data::wikisql::{generate, WikiSqlConfig};
 use nlidb_sqlir::Query;
 use nlidb_tensor::pool;
 
-/// Serializes tests that flip the global pool size.
+/// Serializes tests that flip the global pool size or trace switch.
 fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -195,4 +195,45 @@ fn engine_cache_state_is_thread_count_independent() {
     }
     pool::set_threads(pool::default_threads());
     assert_eq!(stats[0], stats[1], "cache behavior depended on thread count");
+}
+
+#[test]
+fn misses_on_different_tables_share_one_pool_fan_out() {
+    let _guard = pool_lock();
+    let (nlidb, ds) = tiny_system(3004);
+    let a = &ds.dev[0];
+    let b = ds
+        .dev
+        .iter()
+        .find(|e| e.table.fingerprint() != a.table.fingerprint())
+        .expect("a second dev table");
+    let batch = [
+        ServeRequest { question: &a.question, table: &a.table, guided: false },
+        ServeRequest { question: &b.question, table: &b.table, guided: true },
+    ];
+    let sequential =
+        vec![nlidb.predict(&a.question, &a.table), nlidb.predict_guided(&b.question, &b.table)];
+
+    pool::set_threads(2);
+    let mut engine = ServeEngine::with_cache(&nlidb, PredictionCache::new(8));
+    let pool_counters =
+        || ["pool.jobs", "pool.tasks", "pool.serial_tasks"].map(nlidb_trace::counter);
+    nlidb_trace::reset();
+    nlidb_trace::set_enabled(true);
+    let cold = engine.serve(&batch);
+    let cold_counters = pool_counters();
+    nlidb_trace::reset();
+    let warm = engine.serve(&batch);
+    let warm_counters = pool_counters();
+    nlidb_trace::set_enabled(false);
+    nlidb_trace::reset();
+    pool::set_threads(pool::default_threads());
+
+    assert_eq!(cold, sequential, "cold batch diverged from sequential predict");
+    assert_eq!(warm, sequential, "cached batch diverged from sequential predict");
+    // Two jobs of two tasks each: the two tables' contexts, then both
+    // misses in one fan-out. Nothing ran inline.
+    assert_eq!(cold_counters, [2, 4, 0], "pool.jobs, pool.tasks, pool.serial_tasks");
+    // A fully cached batch builds no context and enqueues nothing.
+    assert_eq!(warm_counters, [0, 0, 0], "a cached batch reached the pool");
 }

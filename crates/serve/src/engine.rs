@@ -217,61 +217,53 @@ impl Engine {
             })
             .collect();
 
-        // Flatten resolvable items into one engine batch.
-        let mut origin: Vec<(usize, usize)> = Vec::new();
-        let mut reqs: Vec<ServeRequest<'_>> = Vec::new();
-        for (ji, job) in jobs.iter().enumerate() {
-            for (ii, item) in job.items.iter().enumerate() {
-                if let Ok(table) = &slots[ji][ii] {
-                    reqs.push(ServeRequest { question: &item.question, table, guided: item.guided });
-                    origin.push((ji, ii));
-                }
+        // Flatten resolvable items into one engine batch, job by job and
+        // item by item.
+        let preds = {
+            let reqs: Vec<ServeRequest<'_>> = jobs
+                .iter()
+                .zip(&slots)
+                .flat_map(|(job, tables)| job.items.iter().zip(tables))
+                .filter_map(|(item, table)| {
+                    let table = table.as_ref().ok()?;
+                    Some(ServeRequest { question: &item.question, table, guided: item.guided })
+                })
+                .collect();
+            self.questions += reqs.len() as u64;
+            nlidb_trace::count("server.questions", reqs.len() as u64);
+            if reqs.is_empty() {
+                Vec::new()
+            } else {
+                let mut eng = ServeEngine::with_cache(&self.nlidb, mem::take(&mut self.cache));
+                let out = eng.serve(&reqs);
+                self.cache = eng.into_cache();
+                out
             }
-        }
-
-        let preds = if reqs.is_empty() {
-            Vec::new()
-        } else {
-            let mut eng = ServeEngine::with_cache(&self.nlidb, mem::take(&mut self.cache));
-            let out = eng.serve(&reqs);
-            self.cache = eng.into_cache();
-            out
         };
-        self.questions += reqs.len() as u64;
-        nlidb_trace::count("server.questions", reqs.len() as u64);
 
-        // Scatter predictions back to their jobs, render SQL, reply.
-        // `origin` only indexes resolved slots, so the lookups below
-        // cannot fail; if that invariant ever breaks, the affected item
-        // answers `internal` instead of panicking the engine thread.
+        // Hand the predictions back in the same job and item order, render
+        // SQL, reply. `serve` returns one prediction per request; if that
+        // invariant ever breaks, a resolved item left without one answers
+        // `internal` instead of panicking the engine thread.
         let internal = |what: &str| {
             WireError::new(ErrorCode::Internal, format!("engine invariant violated: {what}"))
         };
-        let mut answers: Vec<Vec<Option<BatchItem>>> =
-            jobs.iter().map(|j| vec![None; j.items.len()]).collect();
-        for ((ji, ii), pred) in origin.into_iter().zip(preds) {
-            let item = match slots[ji][ii].as_ref() {
-                Ok(table) => {
-                    let cols = table.column_names();
-                    BatchItem::Answer(Answer {
-                        sql: pred.as_ref().map(|q| q.to_sql(&cols)),
-                        query: pred,
-                    })
-                }
-                Err(_) => BatchItem::Failed(internal("origin maps to an unresolved slot")),
-            };
-            answers[ji][ii] = Some(item);
-        }
-        for (ji, job) in jobs.into_iter().enumerate() {
-            let results: Vec<BatchItem> = answers[ji]
-                .drain(..)
-                .enumerate()
-                .map(|(ii, slot)| match (slot, &slots[ji][ii]) {
-                    (Some(b), _) => b,
-                    (None, Err(e)) => BatchItem::Failed(e.clone()),
-                    (None, Ok(_)) => {
-                        BatchItem::Failed(internal("resolved item received no prediction"))
-                    }
+        let mut preds = preds.into_iter();
+        for (job, tables) in jobs.into_iter().zip(slots) {
+            let results: Vec<BatchItem> = tables
+                .into_iter()
+                .map(|slot| match slot {
+                    Err(e) => BatchItem::Failed(e),
+                    Ok(table) => match preds.next() {
+                        Some(pred) => {
+                            let cols = table.column_names();
+                            BatchItem::Answer(Answer {
+                                sql: pred.as_ref().map(|q| q.to_sql(&cols)),
+                                query: pred,
+                            })
+                        }
+                        None => BatchItem::Failed(internal("resolved item received no prediction")),
+                    },
                 })
                 .collect();
             let reply = if job.wrap_batch {

@@ -284,32 +284,37 @@ impl LineReader {
     fn read_frame(&mut self, shutdown: &AtomicBool) -> ReadOutcome {
         let mut discarding = false;
         let mut chunk = [0u8; 4096];
+        // `buf[..searched]` holds no terminator: each byte is searched
+        // once, so a frame spread over many reads costs linear time.
+        let mut searched = 0;
         loop {
             // A buffered terminator completes a frame.
-            if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=i).collect();
+            let unsearched = self.buf.get(searched..).unwrap_or_default();
+            if let Some(i) = unsearched.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.buf.drain(..=searched + i).collect();
                 return match String::from_utf8(line) {
                     Ok(s) => ReadOutcome::Frame(s),
                     Err(_) => ReadOutcome::BadUtf8,
                 };
             }
+            searched = self.buf.len();
             // Too much buffered without a terminator: switch to discard
             // mode (drop bytes until the newline) so a runaway line
             // costs one chunk of memory, not unbounded growth.
             if !discarding && self.buf.len() >= MAX_FRAME_BYTES {
                 self.buf.clear();
+                searched = 0;
                 discarding = true;
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return ReadOutcome::Closed,
                 Ok(n) => {
-                    if discarding {
-                        if let Some(i) = chunk[..n].iter().position(|&b| b == b'\n') {
-                            self.buf.extend_from_slice(&chunk[i + 1..n]);
-                            return ReadOutcome::TooLong;
-                        }
-                    } else {
-                        self.buf.extend_from_slice(&chunk[..n]);
+                    let read = chunk.get(..n).unwrap_or_default();
+                    if !discarding {
+                        self.buf.extend_from_slice(read);
+                    } else if let Some(i) = read.iter().position(|&b| b == b'\n') {
+                        self.buf.extend_from_slice(read.get(i + 1..).unwrap_or_default());
+                        return ReadOutcome::TooLong;
                     }
                 }
                 Err(e)

@@ -209,6 +209,50 @@ fn zero_capacity_tenant_sheds_deterministically_and_statelessly() {
 }
 
 #[test]
+fn a_frame_spread_over_many_reads_is_answered_like_one_sent_whole() {
+    let _guard = pool_lock();
+    let sys = system();
+    let server = start_default();
+
+    // The first table's rows repeated until its register frame spans many
+    // of the server's 4 KiB socket reads.
+    let src = &sys.tables[0];
+    let mut big = Table::new(src.name.clone(), src.schema().clone());
+    for _ in 0..40 {
+        for row in src.iter_rows() {
+            big.push_row(row.into_iter().cloned().collect());
+        }
+    }
+    let frames = [
+        encode_frame(&Request::new(0, "acme", Op::RegisterTable { table: big.clone() }).to_json()),
+        encode_frame(&ask_request(1, big.fingerprint()).to_json()),
+        encode_frame(&ask_request(2, big.fingerprint()).to_json()),
+    ];
+    assert!(frames[0].len() > 4 * 4096, "register frame of {} bytes", frames[0].len());
+
+    // Dribbled in 1,000-byte writes: frames straddle writes, and the last
+    // writes carry the tail of one frame and the whole of the next.
+    let mut dribbled = RawClient::connect(server.addr());
+    for piece in frames.concat().as_bytes().chunks(1000) {
+        dribbled.send_bytes(piece);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let got: Vec<String> = frames.iter().map(|_| dribbled.recv_line()).collect();
+    let mut whole = RawClient::connect(server.addr());
+    let want: Vec<String> = frames
+        .iter()
+        .map(|frame| {
+            whole.send_bytes(frame.as_bytes());
+            whole.recv_line()
+        })
+        .collect();
+    assert_eq!(got, want, "a dribbled frame was answered differently");
+    assert!(got[0].contains("\"type\":\"registered\""), "{}", got[0]);
+    assert!(got[1].contains("\"type\":\"answer\""), "{}", got[1]);
+    server.shutdown();
+}
+
+#[test]
 fn a_blank_column_name_neither_fails_its_ask_nor_stops_the_server() {
     let _guard = pool_lock();
     let sys = system();
