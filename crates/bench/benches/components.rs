@@ -23,7 +23,7 @@ use nlidb_data::{CorpusPlan, ShardedCorpusConfig};
 use nlidb_json::json;
 use nlidb_sqlir::{canonicalize, parse_sql, query_match};
 use nlidb_storage::{execute, TableStats};
-use nlidb_tensor::{pool, Graph, Rng, Tensor};
+use nlidb_tensor::{pool, set_matmul_kernel, Graph, MatmulKernel, Rng, Tensor};
 use nlidb_text::{tokenize, DepTree, EmbeddingSpace};
 
 /// One benchmark's measurement.
@@ -225,13 +225,12 @@ fn bench_models(records: &mut Vec<Record>) {
     );
 }
 
-/// Serial-vs-parallel entries for the threaded hot paths: the 256×256
-/// matmul that dominates encoder/decoder cost, and one full minibatch
-/// train step of the mention classifier (batch of 8 examples). The
-/// "parallel" variants pin the pool to at least two threads so the
-/// fan-out path is always exercised; on a multi-core host they use every
-/// available core.
-fn bench_threading(records: &mut Vec<Record>) {
+/// The matmul kernels: a 256×256 product through the blocked kernel
+/// against the same product under the scalar reference kernel, timed in
+/// alternating batches (the gate holds the first to a ratio of the
+/// second), and the decode-time vocab projection shape, a single-row
+/// product, which always runs the scalar row kernel.
+fn bench_matmul(records: &mut Vec<Record>) {
     let mut rng = Rng::seed_from_u64(0xBE7C4);
     let mut mat = |n: usize| {
         let data = (0..n * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -239,18 +238,18 @@ fn bench_threading(records: &mut Vec<Record>) {
     };
     let a = mat(256);
     let b = mat(256);
-    pool::set_threads(1);
-    bench("tensor/matmul_256_serial", records, || {
+    let product = |kernel: MatmulKernel| {
+        set_matmul_kernel(kernel);
         black_box(black_box(&a).matmul(black_box(&b)));
-    });
-    pool::set_threads(pool::default_threads().max(2));
-    bench("tensor/matmul_256_parallel", records, || {
-        black_box(black_box(&a).matmul(black_box(&b)));
-    });
-    pool::set_threads(pool::default_threads());
+    };
+    bench_pair(
+        ["tensor/matmul_256", "tensor/matmul_256_reference"],
+        records,
+        || product(MatmulKernel::Auto),
+        || product(MatmulKernel::Reference),
+    );
+    set_matmul_kernel(MatmulKernel::Auto);
 
-    // The decode-time vocab projection shape: a single-row product, which
-    // always runs the serial row kernel.
     let data = (0..512).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let v = Tensor::from_vec(1, 512, data);
     let data = (0..512 * 1024).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -258,7 +257,14 @@ fn bench_threading(records: &mut Vec<Record>) {
     bench("tensor/matmul_1row_serial", records, || {
         black_box(black_box(&v).matmul(black_box(&proj)));
     });
+}
 
+/// Serial-vs-parallel entries for the pool's training fan-out: one full
+/// minibatch train step of the mention classifier (batch of 8 examples),
+/// whose examples run across the pool. The "parallel" variant pins the
+/// pool to at least two threads so the fan-out path is always exercised;
+/// on a multi-core host it uses every available core.
+fn bench_threading(records: &mut Vec<Record>) {
     let mut cfg = ModelConfig::tiny();
     cfg.batch_size = 8;
     let ds = generate(&WikiSqlConfig::tiny(7));
@@ -424,6 +430,7 @@ fn main() {
     bench_sql(&mut records);
     bench_data(&mut records);
     bench_models(&mut records);
+    bench_matmul(&mut records);
     bench_threading(&mut records);
     bench_pipeline(&mut records);
     bench_serve(&mut records);

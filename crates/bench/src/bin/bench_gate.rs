@@ -13,29 +13,28 @@
 //!
 //! The gate compares `min_ns` — the fastest timed batch — because on a
 //! loaded host the minimum is far less sensitive to scheduler noise than
-//! the median of a handful of smoke batches. One rule per baseline row:
-//! the current `min_ns` may not exceed `baseline * limit`, where `limit`
-//! is the row's optional `floor_ratio` field if present, else the default
-//! [`REGRESSION_CEILING`] (1.25, i.e. a >25% slowdown fails). The
-//! committed baseline pins `tensor/matmul_256_parallel` at `floor_ratio`
-//! 0.75: the blocked kernel must stay at least 1.33x faster than the
-//! pre-blocked scalar numbers the baseline records (a kernel revert
-//! measures ~1.0x; the margin absorbs the ~1.7x run-to-run throughput
-//! drift of single-core CI hosts, which a tight cross-run floor cannot
-//! survive).
+//! the median of a handful of smoke batches. One rule per baseline row,
+//! of two kinds:
 //!
-//! A baseline row may instead carry `ratio_to: <row>` and `max_ratio`:
-//! the gate then divides the row's current `min_ns` by the named row's
-//! current `min_ns` from the same run, and fails above `max_ratio`. Both
-//! rows see the same host load, so the ratio survives the cross-run drift
-//! an absolute pin cannot. The committed baseline holds
-//! `mention/adversarial_influence` (one forward and an input-only
-//! backward on a frozen tape) to 0.85 of `mention/influence_training_tape`
-//! (the same forward with a backward into every parameter); a revert to
-//! the full backward reads about 1.0. It also holds
-//! `mention/classifier_predict` (a forward on a frozen tape, which binds
-//! each parameter once) to 0.9 of `mention/classifier_forward_training_tape`
-//! (the same forward on a training tape, which copies every binding).
+//! - **Ceiling.** The current `min_ns` may not exceed the baseline's
+//!   `min_ns` times [`REGRESSION_CEILING`] (1.25, i.e. a >25% slowdown
+//!   fails).
+//! - **Ratio.** A row carrying `ratio_to: <row>` and `max_ratio` is
+//!   divided by the named row's current `min_ns` from the same run, and
+//!   fails above `max_ratio`. Both rows see the same host load, so the
+//!   ratio survives the cross-run drift an absolute pin cannot. The
+//!   committed baseline holds `tensor/matmul_256` (the blocked kernel) to
+//!   0.75 of `tensor/matmul_256_reference` (the same product under the
+//!   scalar reference kernel), so the blocked kernel must stay at least
+//!   1.33x faster; a kernel revert reads about 1.0. It holds
+//!   `mention/adversarial_influence` (one forward and an input-only
+//!   backward on a frozen tape) to 0.85 of
+//!   `mention/influence_training_tape` (the same forward with a backward
+//!   into every parameter); a revert to the full backward reads about
+//!   1.0. It also holds `mention/classifier_predict` (a forward on a
+//!   frozen tape, which binds each parameter once) to 0.9 of
+//!   `mention/classifier_forward_training_tape` (the same forward on a
+//!   training tape, which copies every binding).
 //!
 //! Only rows named in the baseline are gated; the baseline is the policy
 //! file. A baseline row missing from the current results is an error —
@@ -55,9 +54,9 @@ struct Row {
 
 /// How a baseline row gates its current measurement.
 enum Rule {
-    /// Current `min_ns` must be <= baseline `min_ns` * limit (the row's
-    /// `floor_ratio`, else [`REGRESSION_CEILING`]).
-    Baseline(f64),
+    /// Current `min_ns` must be <= baseline `min_ns` *
+    /// [`REGRESSION_CEILING`].
+    Ceiling,
     /// Current `min_ns` must be <= `max` * the current `min_ns` of row
     /// `to`.
     RatioTo { to: String, max: f64 },
@@ -83,9 +82,7 @@ fn parse_rows(text: &str) -> Result<Vec<(String, Row)>, String> {
                         r.req("max_ratio").map_err(|e| format!("{name}: max_ratio: {e:?}"))?;
                     Rule::RatioTo { to: to.to_string(), max }
                 }
-                None => Rule::Baseline(
-                    r.get("floor_ratio").and_then(Json::as_f64).unwrap_or(REGRESSION_CEILING),
-                ),
+                None => Rule::Ceiling,
             };
             Ok((name, Row { min_ns, rule }))
         })
@@ -109,7 +106,7 @@ fn gate(current: &[(String, Row)], baseline: &[(String, Row)], current_path: &st
             continue;
         };
         let (reference, limit, against) = match &base.rule {
-            Rule::Baseline(limit) => (base.min_ns, *limit, "the baseline".to_string()),
+            Rule::Ceiling => (base.min_ns, REGRESSION_CEILING, "the baseline".to_string()),
             Rule::RatioTo { to, max } => match min_of(to) {
                 Some(partner) => (partner, *max, format!("{to} in this run")),
                 None => {
@@ -196,11 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_rows_keep_the_ceiling_and_floor_rules() {
+    fn baseline_rows_keep_the_ceiling_rule() {
+        // 70 / 60 = 1.17 is within the 1.25 ceiling; 100 / 75 = 1.33 is not.
         let baseline = rows(
             r#"{"rows": [
                 {"name": "fast", "min_ns": 60.0},
-                {"name": "slow", "min_ns": 150.0, "floor_ratio": 0.5}
+                {"name": "slow", "min_ns": 75.0}
             ]}"#,
         );
         let failures = gate(&rows(CURRENT), &baseline, "current");

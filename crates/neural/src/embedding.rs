@@ -125,7 +125,7 @@ impl CharCnn {
     pub fn forward_word(&self, g: &mut Graph, store: &ParamStore, char_ids: &[usize]) -> NodeId {
         let table = g.param(store, self.char_table);
         // Zero-pad so every configured width has at least one slice.
-        let max_k = self.projections.iter().map(|&(k, _)| k).max().expect("non-empty");
+        let max_k = self.projections.iter().map(|&(k, _)| k).fold(0, usize::max);
         let chars = if char_ids.is_empty() {
             g.leaf(Tensor::zeros(max_k, self.char_dim))
         } else {
@@ -137,18 +137,19 @@ impl CharCnn {
                 gathered
             }
         };
-        let mut parts: Option<NodeId> = None;
-        for &(k, proj) in &self.projections {
+        let pooled = |g: &mut Graph, &(k, proj): &(usize, ParamId)| {
             let windows = g.unfold(chars, k);
             let w = g.param(store, proj);
             let feats = g.matmul(windows, w);
-            let pooled = g.mean_rows(feats);
-            parts = Some(match parts {
-                None => pooled,
-                Some(acc) => g.hcat(acc, pooled),
-            });
+            g.mean_rows(feats)
+        };
+        // `new` asserts at least one width.
+        let mut parts = pooled(g, &self.projections[0]);
+        for width in &self.projections[1..] {
+            let next = pooled(g, width);
+            parts = g.hcat(parts, next);
         }
-        parts.expect("at least one width")
+        parts
     }
 
     /// Embeds a sequence of words (each as char ids) into `[n, out_dim]`.
@@ -159,15 +160,12 @@ impl CharCnn {
         words: &[Vec<usize>],
     ) -> NodeId {
         assert!(!words.is_empty(), "char cnn needs at least one word");
-        let mut rows: Option<NodeId> = None;
-        for w in words {
+        let mut rows = self.forward_word(g, store, &words[0]);
+        for w in &words[1..] {
             let row = self.forward_word(g, store, w);
-            rows = Some(match rows {
-                None => row,
-                Some(acc) => g.vcat(acc, row),
-            });
+            rows = g.vcat(rows, row);
         }
-        rows.expect("non-empty")
+        rows
     }
 }
 

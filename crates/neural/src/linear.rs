@@ -113,7 +113,7 @@ impl Mlp {
 
     /// Output width of the final layer.
     pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("mlp has layers").out_dim()
+        self.layers.last().map_or(0, Linear::out_dim)
     }
 
     /// Forward pass; returns raw logits of the last layer.

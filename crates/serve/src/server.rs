@@ -4,7 +4,8 @@
 //! ## Thread model
 //!
 //! One polling acceptor thread, one engine thread (`crate::engine`),
-//! and one thread per live connection. Connection threads are
+//! and one thread per live connection; the acceptor joins a closed
+//! connection's thread on its next poll. Connection threads are
 //! synchronous: read one frame, admit it, submit it to the engine
 //! queue, wait for the result, write one response frame. One request
 //! in flight per connection keeps responses in request order on every
@@ -216,7 +217,7 @@ impl Drop for ServerHandle {
 }
 
 /// Polling accept loop: hands each connection its own thread and a
-/// cloned job sender.
+/// cloned job sender, and joins the threads of closed connections.
 fn accept_loop(
     listener: TcpListener,
     jobs: Sender<Job>,
@@ -227,6 +228,7 @@ fn accept_loop(
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
+        reap_finished(&conns);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let conn_jobs = jobs.clone();
@@ -248,6 +250,20 @@ fn accept_loop(
                 std::thread::sleep(ACCEPT_POLL);
             }
         }
+    }
+}
+
+/// Joins every connection thread that has returned, so a long-lived
+/// server holds a handle (and an unjoined thread's stack) only for the
+/// connections still open.
+fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
+    let mut guard = conns.lock().unwrap_or_else(|p| p.into_inner());
+    let (finished, open): (Vec<_>, Vec<_>) =
+        mem::take(&mut *guard).into_iter().partition(JoinHandle::is_finished);
+    *guard = open;
+    drop(guard);
+    for h in finished {
+        let _ = h.join();
     }
 }
 
@@ -476,4 +492,70 @@ fn write_response(writer: &mut TcpStream, shared: &Shared, resp: Response) -> bo
         nlidb_trace::count("server.errors", 1);
     }
     writer.write_all(body.as_bytes()).and_then(|()| writer.flush()).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::time::Instant;
+
+    use nlidb_core::{ModelConfig, NlidbOptions};
+    use nlidb_data::wikisql::{generate, WikiSqlConfig};
+
+    const STATS: &[u8] = b"{\"v\":1,\"id\":1,\"op\":\"stats\",\"tenant\":\"ops\"}\n";
+
+    /// The number of connection threads the server still holds a handle
+    /// to, once it reaches `want` or ten seconds have passed.
+    fn held_after_waiting_for(server: &ServerHandle, want: usize) -> usize {
+        let held = || server.conns.lock().unwrap_or_else(|p| p.into_inner()).len();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while held() != want && Instant::now() < deadline {
+            std::thread::sleep(ACCEPT_POLL);
+        }
+        held()
+    }
+
+    /// Sends `stats` on an open connection and returns the reply line.
+    fn stats(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
+        stream.write_all(STATS).expect("write stats");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read stats reply");
+        line
+    }
+
+    fn connect(server: &ServerHandle) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        (stream, reader)
+    }
+
+    #[test]
+    fn closed_connections_are_joined_while_the_server_runs() {
+        let mut data = WikiSqlConfig::tiny(5);
+        data.train_tables = 2;
+        let ds = generate(&data);
+        let mut model = ModelConfig::tiny();
+        (model.epochs, model.mention_epochs) = (1, 1);
+        let nlidb = Nlidb::train(&ds, NlidbOptions { model, ..NlidbOptions::default() });
+        let server = Server::start(nlidb, ServerConfig::default()).expect("start server");
+
+        let (mut kept, mut kept_reader) = connect(&server);
+        assert!(stats(&mut kept, &mut kept_reader).contains("\"ok\":true"));
+        // One connection at a time, each closed after its answer.
+        for i in 0..24 {
+            let (mut stream, mut reader) = connect(&server);
+            assert!(stats(&mut stream, &mut reader).contains("\"ok\":true"), "connection {i}");
+        }
+        assert_eq!(
+            held_after_waiting_for(&server, 1),
+            1,
+            "the threads of closed connections are still held"
+        );
+        let again = stats(&mut kept, &mut kept_reader);
+        assert!(again.contains("\"ok\":true"), "the open connection went unanswered: {again}");
+        drop((kept, kept_reader));
+        assert_eq!(held_after_waiting_for(&server, 0), 0, "the last connection's thread is held");
+        server.shutdown();
+    }
 }

@@ -328,7 +328,7 @@ impl Graph {
     }
 
     /// Arena-backed elementwise map of a node's value.
-    fn map_node(&mut self, a: NodeId, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    fn map_node(&mut self, a: NodeId, f: impl Fn(f32) -> f32) -> Tensor {
         let (rows, cols) = self.nodes[a.0].value.shape();
         let mut v = self.arena.scratch(rows, cols);
         self.nodes[a.0].value.map_into(f, &mut v);

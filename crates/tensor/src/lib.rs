@@ -22,9 +22,10 @@
 //! - [`params`]: persistent named parameters ([`ParamStore`]).
 //! - [`optim`]: Adam and global-norm gradient clipping.
 //! - [`gradcheck`]: finite-difference verification utilities.
-//! - [`pool`]: the deterministic scoped thread pool behind every parallel
-//!   construct (`NLIDB_THREADS` knob; parallel results are bitwise equal
-//!   to serial).
+//! - [`pool`]: the deterministic scoped thread pool that fans out across
+//!   independent items — minibatch examples, served tables, corpus shards
+//!   (`NLIDB_THREADS` knob; parallel results are bitwise equal to serial).
+//!   Tensor ops never use it: each runs on its caller's thread.
 //! - [`rng`]: the workspace-wide seeded PRNG ([`Rng`], PCG32) behind every
 //!   random draw in the reproduction.
 //!

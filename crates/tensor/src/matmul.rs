@@ -4,13 +4,17 @@
 //! `matmul_into`, which picks between two kernels:
 //!
 //! - **Scalar reference** — the original i-k-j loop (`scalar_row_into`),
-//!   still the semantic ground truth, fanned out over row chunks when the
-//!   product is large enough. A single-row `[1, K] @ [K, N]` product runs
-//!   it serially: no model product of that shape comes near the fan-out
-//!   threshold, and below it a fan-out costs more than it saves.
+//!   still the semantic ground truth, and the path of every product too
+//!   small to repay packing B.
 //! - **Blocked** — for `M >= MR`, B is packed into column panels of
 //!   width `NR` so the micro-kernel streams contiguous memory, and an
 //!   `MR x NR` register tile accumulates `MR` output rows at once.
+//!
+//! Both run on the calling thread. The pool fans out across independent
+//! items (minibatch examples, served tables, corpus shards), never inside
+//! one product: at the model widths this reproduction trains (hidden
+//! 48–64), no product comes near the size at which splitting its rows
+//! would pay for a fan-out.
 //!
 //! ## The reduction-order invariant
 //!
@@ -31,13 +35,6 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::pool;
-
-/// Minimum multiply-accumulate count (`rows * inner * cols`) before
-/// [`matmul_into`] fans out across the pool; below this the fixed cost of
-/// a fan-out exceeds the arithmetic.
-pub(crate) const PAR_MATMUL_MIN_WORK: usize = 64 * 64 * 64;
-
 /// Minimum multiply-accumulate count before the blocked kernel engages;
 /// below this the pack of B costs more than the cache locality buys.
 const BLOCKED_MIN_WORK: usize = 32 * 32 * 32;
@@ -51,8 +48,8 @@ const NR: usize = 16;
 /// Which matmul implementation `matmul_into` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulKernel {
-    /// The original scalar i-k-j loop (row fan-out only). The ground
-    /// truth that every fast path must match bitwise.
+    /// The original scalar i-k-j loop. The ground truth that every fast
+    /// path must match bitwise.
     Reference,
     /// Runtime choice between the scalar and blocked/packed kernels
     /// (the default).
@@ -143,67 +140,31 @@ pub(crate) fn scalar_row_into(a_row: &[f32], b: &[f32], n: usize, out_row: &mut 
     }
 }
 
-/// Computes `out = a[m, k] @ b[k, n]` (`out` assumed zeroed), dispatching
-/// between the reference and blocked kernels. Every path produces
-/// bitwise-identical output (see module docs).
+/// Computes `out = a[m, k] @ b[k, n]` (`out` assumed zeroed) on the
+/// calling thread, dispatching between the reference and blocked
+/// kernels. Every path produces bitwise-identical output (see module
+/// docs).
 pub(crate) fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let work = m * k * n;
-    let reference = matmul_kernel() == MatmulKernel::Reference;
-    let threads = pool::num_threads();
-
-    if !reference && m >= MR && work >= BLOCKED_MIN_WORK {
+    if matmul_kernel() == MatmulKernel::Auto && m >= MR && m * k * n >= BLOCKED_MIN_WORK {
         // The pack scratch is reused across calls (thread-local) so the
         // hot path does not mmap/fault a fresh K*N buffer per product.
         PACK_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             pack_b(b, k, n, &mut scratch);
-            let packed: &[f32] = &scratch;
-            if work >= PAR_MATMUL_MIN_WORK && threads > 1 {
-                // Fan out over bands of whole rows; band heights are a
-                // multiple of MR so only the final band sees edge rows.
-                let rows_per = next_multiple(m.div_ceil(4 * threads).max(1), MR);
-                pool::parallel_for_chunks(out, rows_per * n, |offset, band| {
-                    let r0 = offset / n;
-                    blocked_rows(&a[r0 * k..], band.len() / n, k, packed, n, band);
-                });
-            } else {
-                blocked_rows(a, m, k, packed, n, out);
-            }
+            blocked_rows(a, m, k, &scratch, n, out);
         });
         return;
     }
-
-    // Reference / small-product path: the original per-row scalar loop,
-    // optionally fanned out over row chunks.
-    if work >= PAR_MATMUL_MIN_WORK && m >= 2 && threads > 1 {
-        // About 4 chunks per thread so the work-sharing cursor can even
-        // out stragglers; chunk boundaries align to whole rows.
-        let rows_per = m.div_ceil(4 * threads).max(1);
-        pool::parallel_for_chunks(out, rows_per * n, |offset, chunk| {
-            let first_row = offset / n;
-            for (ri, out_row) in chunk.chunks_mut(n).enumerate() {
-                let row = first_row + ri;
-                scalar_row_into(&a[row * k..(row + 1) * k], b, n, out_row);
-            }
-        });
-    } else {
-        for (i, out_row) in out.chunks_mut(n).enumerate() {
-            scalar_row_into(&a[i * k..(i + 1) * k], b, n, out_row);
-        }
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
+        scalar_row_into(&a[i * k..(i + 1) * k], b, n, out_row);
     }
 }
 
-/// Smallest multiple of `step` that is `>= x`.
-fn next_multiple(x: usize, step: usize) -> usize {
-    x.div_ceil(step) * step
-}
-
 std::thread_local! {
-    /// Reusable packed-B buffer. Packing happens on the calling thread
-    /// before any fan-out, and `matmul_into` is not reentrant, so one
+    /// Reusable packed-B buffer. `matmul_into` is not reentrant, so one
     /// scratch per thread suffices.
     static PACK_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
@@ -225,8 +186,8 @@ fn pack_b(b: &[f32], k: usize, n: usize, packed: &mut Vec<f32>) {
     }
 }
 
-/// Runs the blocked kernel over a band of `a` rows (`a.len() / k` rows),
-/// writing the matching rows of the output, with SIMD dispatch.
+/// Runs the blocked kernel over the `m` rows of `a`, writing every row of
+/// the output, with SIMD dispatch.
 fn blocked_rows(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
@@ -298,8 +259,8 @@ fn blocked_rows_impl(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, ou
 #[inline(always)]
 fn microkernel_full(a: &[f32], k: usize, panel: &[f32], out: &mut [f32], ldo: usize) {
     let mut acc = [[0f32; NR]; MR];
-    for kk in 0..k {
-        let bvals: &[f32; NR] = panel[kk * NR..kk * NR + NR].try_into().expect("panel width");
+    // A full panel holds exactly `k` rows of `NR` values.
+    for (kk, bvals) in panel.as_chunks::<NR>().0.iter().enumerate() {
         for i in 0..MR {
             let a_ik = a[i * k + kk];
             for j in 0..NR {

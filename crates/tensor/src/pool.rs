@@ -1,16 +1,20 @@
 //! A small std-only scoped thread pool with a deterministic fan-out
 //! contract.
 //!
-//! Every parallel construct in the workspace goes through this module, and
-//! all of them obey one rule: **the result of a parallel run is bitwise
-//! identical to the serial run**. That holds because work is only ever
-//! split into tasks that write disjoint output regions and each task is
-//! computed by exactly the same scalar code the serial path runs —
-//! threads change *who* computes a region, never *what* is computed or in
-//! which order floats are accumulated within it. Reductions that combine
-//! task outputs (e.g. minibatch gradient merging in `nlidb-core`) iterate
-//! task results in index order on the calling thread, so their
-//! floating-point addition order is also thread-count independent.
+//! Every parallel construct in the workspace goes through this module:
+//! the minibatch examples of `nlidb_core::train`, the served tables of
+//! `nlidb_core::serve`, the corpus shards of `nlidb_data`. The pool fans
+//! out across such independent items; each item's arithmetic, tensor ops
+//! included, runs on one thread. All of them obey one rule: **the result
+//! of a parallel run is bitwise identical to the serial run**. That holds
+//! because work is only ever split into tasks that write disjoint output
+//! regions and each task is computed by exactly the same scalar code the
+//! serial path runs — threads change *who* computes a region, never
+//! *what* is computed or in which order floats are accumulated within
+//! it. Reductions that combine task outputs (e.g. minibatch gradient
+//! merging in `nlidb-core`) iterate task results in index order on the
+//! calling thread, so their floating-point addition order is also
+//! thread-count independent.
 //!
 //! ## Worker model
 //!
@@ -19,10 +23,9 @@
 //! `&(dyn Fn(usize) + Sync)` plus an atomic task cursor — and the calling
 //! thread participates in draining it, so a pool size of 1 is *exactly*
 //! the serial path (no job is ever enqueued). Nested [`parallel_for`]
-//! calls from inside a worker run serially on that worker; this keeps
-//! example-level data parallelism (outer) and op-level parallelism
-//! (inner) from deadlocking the fixed-size pool and keeps each task's
-//! arithmetic single-threaded and reproducible.
+//! calls from inside a worker run serially on that worker; this keeps a
+//! fan-out issued from inside a task from deadlocking the fixed-size pool
+//! and keeps each task's arithmetic single-threaded and reproducible.
 //!
 //! A task that panics counts as finished: every task runs under
 //! `catch_unwind`, the worker that ran it lives on, and [`parallel_for`]

@@ -10,11 +10,7 @@
 use nlidb_json::{FromJson, Json, JsonError, ToJson};
 
 use crate::matmul;
-use crate::pool;
 use crate::rng::Rng;
-
-/// Minimum element count before [`Tensor::map`] / [`Tensor::zip`] fan out.
-const PAR_ELEMWISE_MIN_LEN: usize = 16 * 1024;
 
 /// A dense row-major matrix of `f32` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,11 +146,11 @@ impl Tensor {
     /// Matrix product `self @ other`.
     ///
     /// Dispatches through [`crate::matmul`]: a scalar i-k-j reference
-    /// loop (fanned out over row chunks for large products) and a
-    /// cache-blocked packed-B kernel for larger shapes. All paths keep
-    /// the per-output-cell reduction order of the scalar loop, so the
-    /// result is bitwise identical regardless of kernel selection
-    /// ([`crate::matmul::set_matmul_kernel`]) or thread count.
+    /// loop for small products and a cache-blocked packed-B kernel for
+    /// larger shapes, both on the calling thread. Both keep the
+    /// per-output-cell reduction order of the scalar loop, so the result
+    /// is bitwise identical regardless of kernel selection
+    /// ([`crate::matmul::set_matmul_kernel`]).
     ///
     /// Note there is deliberately *no* skip of zero left-hand entries:
     /// `0 * NaN` and `0 * Inf` must produce `NaN` so that divergence in
@@ -216,10 +212,8 @@ impl Tensor {
         }
     }
 
-    /// Elementwise map. Large tensors fan out over disjoint chunks via
-    /// [`crate::pool`]; per-element results are position-independent, so
-    /// the parallel output is bitwise identical to the serial one.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    /// Elementwise map.
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = Tensor::zeros(self.rows, self.cols);
         self.map_into(f, &mut out);
         out
@@ -227,31 +221,19 @@ impl Tensor {
 
     /// [`Tensor::map`] into a caller-provided same-shape output tensor
     /// (used by the graph arena to recycle buffers). Every element of
-    /// `out` is overwritten; same parallel dispatch and bitwise contract
-    /// as [`Tensor::map`].
+    /// `out` is overwritten.
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn map_into(&self, f: impl Fn(f32) -> f32 + Sync, out: &mut Tensor) {
+    pub fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Tensor) {
         assert_eq!(self.shape(), out.shape(), "map_into shape mismatch");
-        if self.data.len() >= PAR_ELEMWISE_MIN_LEN && pool::num_threads() > 1 {
-            let chunk = self.data.len().div_ceil(pool::num_threads());
-            let src = &self.data;
-            pool::parallel_for_chunks(&mut out.data, chunk, |offset, part| {
-                for (j, o) in part.iter_mut().enumerate() {
-                    *o = f(src[offset + j]);
-                }
-            });
-        } else {
-            for (o, &x) in out.data.iter_mut().zip(&self.data) {
-                *o = f(x);
-            }
+        for (o, &x) in out.data.iter_mut().zip(&self.data) {
+            *o = f(x);
         }
     }
 
-    /// Elementwise binary combination with shape assertion. Parallelized
-    /// like [`Tensor::map`] with the same bitwise-determinism contract.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    /// Elementwise binary combination with shape assertion.
+    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         let mut out = Tensor::zeros(self.rows, self.cols);
         self.zip_into(other, f, &mut out);
         out
@@ -263,21 +245,11 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn zip_into(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync, out: &mut Tensor) {
+    pub fn zip_into(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32, out: &mut Tensor) {
         assert_eq!(self.shape(), other.shape(), "elementwise shape mismatch");
         assert_eq!(self.shape(), out.shape(), "zip_into output shape mismatch");
-        if self.data.len() >= PAR_ELEMWISE_MIN_LEN && pool::num_threads() > 1 {
-            let chunk = self.data.len().div_ceil(pool::num_threads());
-            let (a, b) = (&self.data, &other.data);
-            pool::parallel_for_chunks(&mut out.data, chunk, |offset, part| {
-                for (j, o) in part.iter_mut().enumerate() {
-                    *o = f(a[offset + j], b[offset + j]);
-                }
-            });
-        } else {
-            for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
-                *o = f(a, b);
-            }
+        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
+            *o = f(a, b);
         }
     }
 
