@@ -23,7 +23,7 @@ use nlidb_data::{CorpusPlan, ShardedCorpusConfig};
 use nlidb_json::json;
 use nlidb_sqlir::{canonicalize, parse_sql, query_match};
 use nlidb_storage::{execute, TableStats};
-use nlidb_tensor::{pool, set_matmul_kernel, Graph, MatmulKernel, Rng, Tensor};
+use nlidb_tensor::{math, pool, set_matmul_kernel, Graph, MatmulKernel, Rng, Tensor};
 use nlidb_text::{tokenize, DepTree, EmbeddingSpace};
 
 /// One benchmark's measurement.
@@ -175,10 +175,27 @@ fn bench_data(records: &mut Vec<Record>) {
     let dir = std::env::temp_dir().join(format!("nlidb-bench-corpus-{}", std::process::id()));
     write_corpus(&plan, &dir).expect("write bench corpus");
     let mut reader = CorpusReader::open(&dir).expect("open bench corpus");
-    bench("data/stream_read_64q", records, || {
-        black_box(reader.read_shard(black_box(0)).expect("read bench shard").len());
-    });
+    bench_pair(
+        ["data/stream_read_64q", "calibration/stream_read_64q"],
+        records,
+        || {
+            black_box(reader.read_shard(black_box(0)).expect("read bench shard").len());
+        },
+        || calibration(1 << 21),
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fixed loop that no library change touches: FNV-1a over `len` bytes of
+/// a freshly allocated buffer. A row whose code this repository does not
+/// make faster or slower on its own is gated as a ratio to it, timed in
+/// alternating batches, so host load moves both sides of the ratio alike.
+fn calibration(len: usize) {
+    let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31)).collect();
+    let hash = black_box(&bytes)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    black_box(hash);
 }
 
 fn bench_models(records: &mut Vec<Record>) {
@@ -226,18 +243,19 @@ fn bench_models(records: &mut Vec<Record>) {
 }
 
 /// The matmul kernels: a 256×256 product through the blocked kernel
-/// against the same product under the scalar reference kernel, timed in
-/// alternating batches (the gate holds the first to a ratio of the
-/// second), and the decode-time vocab projection shape, a single-row
+/// against the same product under the scalar reference kernel, and a
+/// one-row `A·Bᵀ` against transpose-then-multiply, each pair timed in
+/// alternating batches (the gate holds the first of a pair to a ratio of
+/// the second); and the decode-time vocab projection shape, a single-row
 /// product, which always runs the scalar row kernel.
 fn bench_matmul(records: &mut Vec<Record>) {
     let mut rng = Rng::seed_from_u64(0xBE7C4);
-    let mut mat = |n: usize| {
-        let data = (0..n * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        Tensor::from_vec(n, n, data)
+    let mut mat = |rows: usize, cols: usize| {
+        let data = (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        Tensor::from_vec(rows, cols, data)
     };
-    let a = mat(256);
-    let b = mat(256);
+    let a = mat(256, 256);
+    let b = mat(256, 256);
     let product = |kernel: MatmulKernel| {
         set_matmul_kernel(kernel);
         black_box(black_box(&a).matmul(black_box(&b)));
@@ -250,6 +268,23 @@ fn bench_matmul(records: &mut Vec<Record>) {
     );
     set_matmul_kernel(MatmulKernel::Auto);
 
+    // A one-row `g · Wᵀ`, the shape of an LSTM gate's input gradient in
+    // every localization backward, against the product it replaced:
+    // transpose, then multiply.
+    let (g, w) = (mat(1, 256), mat(64, 256));
+    let mut out = Tensor::zeros(1, 64);
+    bench_pair(
+        ["tensor/matmul_bt_1row", "tensor/matmul_bt_1row_transpose"],
+        records,
+        || {
+            black_box(&g).matmul_bt_into(black_box(&w), &mut out);
+            black_box(&out);
+        },
+        || {
+            black_box(black_box(&g).matmul(&black_box(&w).transpose()));
+        },
+    );
+
     let data = (0..512).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let v = Tensor::from_vec(1, 512, data);
     let data = (0..512 * 1024).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -257,6 +292,31 @@ fn bench_matmul(records: &mut Vec<Record>) {
     bench("tensor/matmul_1row_serial", records, || {
         black_box(black_box(&v).matmul(black_box(&proj)));
     });
+}
+
+/// The in-tree `tanh` over one answered question's worth of elements
+/// (42,546) against `f32::tanh` (the host libm) over the same values,
+/// timed in alternating batches.
+fn bench_tanh(records: &mut Vec<Record>) {
+    let mut rng = Rng::seed_from_u64(0x7a4e);
+    let xs: Vec<f32> = (0..42_546).map(|_| rng.normal(0.0, 2.0)).collect();
+    let mut out = vec![0.0f32; xs.len()];
+    let mut libm_out = vec![0.0f32; xs.len()];
+    bench_pair(
+        ["tensor/tanh_42k", "tensor/tanh_42k_libm"],
+        records,
+        || {
+            out.copy_from_slice(black_box(&xs));
+            math::tanh_slice(&mut out);
+            black_box(&out);
+        },
+        || {
+            for (o, &x) in libm_out.iter_mut().zip(black_box(&xs)) {
+                *o = x.tanh();
+            }
+            black_box(&libm_out);
+        },
+    );
 }
 
 /// Serial-vs-parallel entries for the pool's training fan-out: one full
@@ -340,9 +400,14 @@ fn bench_serve(records: &mut Vec<Record>) {
     });
     let mut warm = ServeEngine::with_cache(&nlidb, PredictionCache::new(1024));
     black_box(warm.serve(&reqs));
-    bench("serve/batch_64_warm", records, || {
-        black_box(warm.serve(black_box(&reqs)));
-    });
+    bench_pair(
+        ["serve/batch_64_warm", "calibration/batch_64_warm"],
+        records,
+        || {
+            black_box(warm.serve(black_box(&reqs)));
+        },
+        || calibration(1 << 17),
+    );
 
     // One uncached question on each of two tables: at pool width 2 both
     // misses run in one fan-out, at width 1 one after the other.
@@ -431,6 +496,7 @@ fn main() {
     bench_data(&mut records);
     bench_models(&mut records);
     bench_matmul(&mut records);
+    bench_tanh(&mut records);
     bench_threading(&mut records);
     bench_pipeline(&mut records);
     bench_serve(&mut records);

@@ -34,7 +34,12 @@
 //!   1.0. It also holds `mention/classifier_predict` (a forward on a
 //!   frozen tape, which binds each parameter once) to 0.9 of
 //!   `mention/classifier_forward_training_tape` (the same forward on a
-//!   training tape, which copies every binding).
+//!   training tape, which copies every binding), `tensor/tanh_42k` (the
+//!   in-tree `tanh`) to a share of `tensor/tanh_42k_libm`,
+//!   `tensor/matmul_bt_1row` (a one-row `A·Bᵀ` read in place) to a share
+//!   of `tensor/matmul_bt_1row_transpose` (transpose, then multiply),
+//!   and `data/stream_read_64q` and `serve/batch_64_warm` to a multiple
+//!   of a fixed calibration loop (`calibration/*`) timed beside each.
 //!
 //! Only rows named in the baseline are gated; the baseline is the policy
 //! file. A baseline row missing from the current results is an error —

@@ -125,23 +125,23 @@ pub fn annotate(
             // Overlapping mark (possible with detected spans): skip it.
             continue;
         }
-        tokens.extend(question[cursor..m.pos].iter().cloned());
+        tokens.extend(question.iter().take(m.pos).skip(cursor).cloned());
         tokens.push(m.symbol.clone());
         match cfg.encoding {
             SymbolEncoding::Appending => {
-                tokens.extend(question[m.pos..m.end].iter().cloned());
+                tokens.extend(question.iter().take(m.end).skip(m.pos).cloned());
             }
             SymbolEncoding::Substitution => {}
         }
         cursor = m.end;
     }
-    tokens.extend(question[cursor..].iter().cloned());
+    tokens.extend(question.iter().skip(cursor).cloned());
 
     let headers: Vec<usize> = (0..column_names.len().min(max_headers)).collect();
     if cfg.header_encoding {
-        for &k in &headers {
+        for (k, name) in column_names.iter().enumerate().take(max_headers) {
             tokens.push(format!("g{}", k + 1));
-            tokens.extend(nlidb_text::tokenize(&column_names[k]));
+            tokens.extend(nlidb_text::tokenize(name));
         }
     }
 

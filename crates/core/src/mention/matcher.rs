@@ -49,10 +49,6 @@ impl Default for MatcherConfig {
     }
 }
 
-fn span_text(tokens: &[String], a: usize, b: usize) -> String {
-    tokens[a..b].join(" ")
-}
-
 /// Strips common inflectional suffixes for stem-level comparison
 /// ("areaing" ~ "area", "names" ~ "name").
 fn stem(word: &str) -> &str {
@@ -106,7 +102,9 @@ pub fn context_free_matches(
     }
     let mut best: Vec<Option<ColumnCandidate>> = vec![None; column_names.len()];
     let consider = |cand: ColumnCandidate, best: &mut Vec<Option<ColumnCandidate>>| {
-        let slot = &mut best[cand.column];
+        let Some(slot) = best.get_mut(cand.column) else {
+            return;
+        };
         let replace = match slot {
             None => true,
             Some(prev) => {
@@ -126,13 +124,13 @@ pub fn context_free_matches(
 
         // Exact and edit-distance matching over spans near the name length.
         for len in 1..=max_span {
-            for a in 0..=(n - len) {
+            for (a, span) in question.windows(len).enumerate() {
                 let b = a + len;
                 // Skip pure stop-word spans.
-                if question[a..b].iter().all(|t| is_stop_word(t)) {
+                if span.iter().all(|t| is_stop_word(t)) {
                     continue;
                 }
-                let text = span_text(question, a, b);
+                let text = span.join(" ");
                 if text == name_joined {
                     consider(
                         ColumnCandidate { column: col, span: (a, b), score: 1.0, source: MatchSource::Exact },
@@ -201,8 +199,8 @@ pub fn context_free_matches(
             if m == 0 || m > n {
                 continue;
             }
-            for a in 0..=(n - m) {
-                if &question[a..a + m] == phrase.as_slice() {
+            for (a, span) in question.windows(m).enumerate() {
+                if span == phrase.as_slice() {
                     consider(
                         ColumnCandidate {
                             column: col,
@@ -221,8 +219,8 @@ pub fn context_free_matches(
             if m == 0 || m > n {
                 continue;
             }
-            for a in 0..=(n - m) {
-                if &question[a..a + m] == phrase.as_slice() {
+            for (a, span) in question.windows(m).enumerate() {
+                if span == phrase.as_slice() {
                     consider(
                         ColumnCandidate {
                             column: col,

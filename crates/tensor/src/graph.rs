@@ -37,6 +37,7 @@
 
 use nlidb_trace as trace;
 
+use crate::math;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
@@ -385,7 +386,10 @@ impl Graph {
     /// Elementwise tanh.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let _t = trace::span("graph.fwd.tanh");
-        let v = self.map_node(a, f32::tanh);
+        let (rows, cols) = self.nodes[a.0].value.shape();
+        let mut v = self.arena.scratch(rows, cols);
+        v.data_mut().copy_from_slice(self.nodes[a.0].value.data());
+        math::tanh_slice(v.data_mut());
         let rg = self.rg(a);
         self.push(v, Op::Tanh(a), rg)
     }
@@ -503,9 +507,12 @@ impl Graph {
                 let lin = (a1 + a2) + bj;
                 *o = match act {
                     GateAct::Sigmoid => 1.0 / (1.0 + (-lin).exp()),
-                    GateAct::Tanh => lin.tanh(),
+                    GateAct::Tanh => lin,
                 };
             }
+        }
+        if act == GateAct::Tanh {
+            math::tanh_slice(v.data_mut());
         }
         self.arena.give(m1);
         self.arena.give(m2);
@@ -687,6 +694,13 @@ impl Graph {
     /// After this call, [`Graph::grad`] returns gradients for every
     /// gradient-tracked node and [`Graph::param_grads`] collects them per
     /// parameter.
+    ///
+    /// A product's two deltas, `g·Bᵀ` for its left operand and `Aᵀ·g` for
+    /// its right, go through [`Tensor::matmul_bt_into`] and
+    /// [`Tensor::matmul_at_into`], which read the operands in place: no
+    /// `Matmul` or `FusedGate` backward copies a weight or an activation
+    /// into a transposed buffer. Each delta is bitwise what
+    /// transpose-then-multiply gave.
     pub fn backward(&mut self, loss: NodeId) {
         let _t = trace::span("graph.backward");
         trace::record("graph.nodes_per_backward", self.nodes.len() as f64);
@@ -780,27 +794,6 @@ fn accum_ref(
     }
 }
 
-/// `out = a @ b^T` via an arena-recycled transpose buffer (same kernels,
-/// hence bitwise-identical to `a.matmul(&b.transpose())`).
-fn matmul_bt(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
-    let mut bt = arena.scratch(b.cols(), b.rows());
-    b.transpose_into(&mut bt);
-    let mut out = arena.zeroed(a.rows(), bt.cols());
-    a.matmul_into(&bt, &mut out);
-    arena.give(bt);
-    out
-}
-
-/// `out = a^T @ b` via an arena-recycled transpose buffer.
-fn matmul_at(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
-    let mut at = arena.scratch(a.cols(), a.rows());
-    a.transpose_into(&mut at);
-    let mut out = arena.zeroed(at.rows(), b.cols());
-    at.matmul_into(b, &mut out);
-    arena.give(at);
-    out
-}
-
 /// Pushes node `i`'s gradient `g` into its operands. A delta is computed
 /// only for an operand that requires grad (`accum_*` would drop any other),
 /// so a frozen tape skips the weight-side products and a training tape
@@ -860,12 +853,15 @@ fn backprop_node(
             }
         }
         &Op::Matmul(a, b) => {
+            let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
             if rg(a) {
-                let da = matmul_bt(arena, g, &nodes[b.0].value);
+                let mut da = arena.scratch(g.rows(), bv.rows());
+                g.matmul_bt_into(bv, &mut da);
                 accum_owned(nodes, grads, arena, a, da);
             }
             if rg(b) {
-                let db = matmul_at(arena, &nodes[a.0].value, g);
+                let mut db = arena.scratch(av.cols(), g.cols());
+                av.matmul_at_into(g, &mut db);
                 accum_owned(nodes, grads, arena, b, db);
             }
         }
@@ -1070,12 +1066,15 @@ fn backprop_node(
                 accum_owned(nodes, grads, arena, b, db);
             }
             for (input, weight) in [(h, wh), (x, wx)] {
+                let (iv, wv) = (&nodes[input.0].value, &nodes[weight.0].value);
                 if rg(input) {
-                    let d = matmul_bt(arena, &dlin, &nodes[weight.0].value);
+                    let mut d = arena.scratch(dlin.rows(), wv.rows());
+                    dlin.matmul_bt_into(wv, &mut d);
                     accum_owned(nodes, grads, arena, input, d);
                 }
                 if rg(weight) {
-                    let d = matmul_at(arena, &nodes[input.0].value, &dlin);
+                    let mut d = arena.scratch(iv.cols(), dlin.cols());
+                    iv.matmul_at_into(&dlin, &mut d);
                     accum_owned(nodes, grads, arena, weight, d);
                 }
             }

@@ -17,6 +17,9 @@
 //! - [`matmul`]: the matmul kernels behind [`Tensor::matmul`] — scalar
 //!   reference and cache-blocked packed-B with runtime SIMD dispatch —
 //!   both bitwise-identical per cell.
+//! - [`math`]: the in-tree `tanh` ([`math::tanh`], [`math::tanh_slice`]),
+//!   bit for bit equal to glibc 2.36's `tanhf`, vectorized behind the
+//!   same SIMD dispatch.
 //! - [`graph`]: the define-by-run tape ([`Graph`], [`NodeId`]) with forward
 //!   ops and reverse-mode [`Graph::backward`].
 //! - [`params`]: persistent named parameters ([`ParamStore`]).
@@ -57,6 +60,7 @@
 
 pub mod gradcheck;
 pub mod graph;
+pub mod math;
 pub mod matmul;
 pub mod optim;
 pub mod params;

@@ -10,7 +10,19 @@
 //!   width `NR` so the micro-kernel streams contiguous memory, and an
 //!   `MR x NR` register tile accumulates `MR` output rows at once.
 //!
-//! Both run on the calling thread. The pool fans out across independent
+//! The backward pass's two products have kernels of their own, so it
+//! never copies an operand into a transposed buffer:
+//!
+//! - **`A·Bᵀ`** (`matmul_bt_into`, the input gradient `g·Wᵀ`) — below the
+//!   blocked threshold, `row_dots` takes each cell as the dot product of
+//!   a row of A and a row of B, read in place, with `DOT_COLS` cells in
+//!   flight; above it, `pack_bt` packs B's rows straight into the blocked
+//!   kernel's panels.
+//! - **`Aᵀ·B`** (`matmul_at_into`, the weight gradient `Xᵀ·g`) — the
+//!   reference loop and the blocked kernel read A's columns with stride
+//!   (the blocked kernel takes A through a `(row, column)` stride pair).
+//!
+//! All of them run on the calling thread. The pool fans out across independent
 //! items (minibatch examples, served tables, corpus shards), never inside
 //! one product: at the model widths this reproduction trains (hidden
 //! 48–64), no product comes near the size at which splitting its rows
@@ -23,9 +35,10 @@
 //! same association the scalar reference uses. Blocking and packing change
 //! *which cells are in flight together* and *where B's values live*, never
 //! the per-cell addition order, so every path is bitwise identical to the
-//! reference (pinned by seeded differential tests). For the same reason the
-//! kernels never use FMA (`mul_add`): fusing the rounding step would change
-//! the bits. Rust guarantees no implicit FP contraction, so the
+//! reference (pinned by seeded differential tests), and the transpose-free
+//! kernels are bitwise equal to the reference on a transposed copy. For
+//! the same reason the kernels never use FMA (`mul_add`): fusing the
+//! rounding step would change the bits. Rust guarantees no implicit FP contraction, so the
 //! `target_feature` wrappers below may auto-vectorize the mul-then-add
 //! bodies without breaking the invariant.
 //!
@@ -84,14 +97,16 @@ pub fn matmul_kernel() -> MatmulKernel {
 /// 2 AVX2, 3 AVX-512F).
 static SIMD_LEVEL: AtomicU8 = AtomicU8::new(0);
 
+/// The widest SIMD instruction set the kernels may use on this host.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum SimdLevel {
+pub(crate) enum SimdLevel {
     Scalar,
     Avx2,
     Avx512,
 }
 
-fn simd_level() -> SimdLevel {
+/// The host's [`SimdLevel`], detected on first use.
+pub(crate) fn simd_level() -> SimdLevel {
     // lint:allow(atomic-ordering): capability cache; every initializer computes the same value, so a missed store only repeats detection.
     match SIMD_LEVEL.load(Ordering::Relaxed) {
         1 => SimdLevel::Scalar,
@@ -148,18 +163,118 @@ pub(crate) fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, ou
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if matmul_kernel() == MatmulKernel::Auto && m >= MR && m * k * n >= BLOCKED_MIN_WORK {
-        // The pack scratch is reused across calls (thread-local) so the
-        // hot path does not mmap/fault a fresh K*N buffer per product.
-        PACK_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            pack_b(b, k, n, &mut scratch);
-            blocked_rows(a, m, k, &scratch, n, out);
-        });
+    if blocked(m, k, n) {
+        packed_product(|packed| pack_b(b, k, n, packed), a, m, k, (k, 1), n, out);
         return;
     }
     for (i, out_row) in out.chunks_mut(n).enumerate() {
         scalar_row_into(&a[i * k..(i + 1) * k], b, n, out_row);
+    }
+}
+
+/// Computes `out = a[m, k] · b[n, k]ᵀ` on the calling thread, without
+/// transposing `b`. Every cell of `out` is overwritten with the dot
+/// product of a row of A and a row of B summed in `k` order from zero:
+/// the cell the reference kernel computes on a transposed copy of `b`.
+///
+/// Above the blocked threshold, `b`'s rows are packed straight into the
+/// blocked kernel's column panels; below it, [`row_dots`] reads them in
+/// place.
+pub(crate) fn matmul_bt_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(out.len(), m * n);
+    if blocked(m, k, n) {
+        packed_product(|packed| pack_bt(b, k, n, packed), a, m, k, (k, 1), n, out);
+    } else {
+        row_dots(a, m, k, b, n, out);
+    }
+}
+
+/// Computes `out = a[k, m]ᵀ · b[k, n]` on the calling thread, without
+/// transposing `a`. Every cell of `out` is overwritten with
+/// `((0 + a[0][i]·b[0][j]) + a[1][i]·b[1][j]) + …`, the cell the
+/// reference kernel computes on a transposed copy of `a`.
+///
+/// Both paths read A's column `i` with stride `m` where the forward
+/// kernels read a row: the blocked kernel through its A strides, and the
+/// row path as one scaled-row update of `out`'s row `i` per row of `b`.
+pub(crate) fn matmul_at_into(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    debug_assert_eq!(a.len(), k * m);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    if blocked(m, k, n) {
+        packed_product(|packed| pack_b(b, k, n, packed), a, m, k, (1, m), n, out);
+        return;
+    }
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
+        out_row.fill(0.0);
+        for (kk, b_row) in b.chunks_exact(n).enumerate() {
+            let a_ki = a[kk * m + i];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += a_ki * bv;
+            }
+        }
+    }
+}
+
+/// Whether an `[m, k] · [k, n]` product takes the blocked kernel.
+fn blocked(m: usize, k: usize, n: usize) -> bool {
+    matmul_kernel() == MatmulKernel::Auto && m >= MR && m * k * n >= BLOCKED_MIN_WORK
+}
+
+/// Packs B's panels with `pack` into the thread-local scratch and runs the
+/// blocked kernel. The pack scratch is reused across calls so the hot path
+/// does not mmap/fault a fresh K*N buffer per product.
+fn packed_product(
+    pack: impl FnOnce(&mut Vec<f32>),
+    a: &[f32],
+    m: usize,
+    k: usize,
+    a_strides: (usize, usize),
+    n: usize,
+    out: &mut [f32],
+) {
+    PACK_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        pack(&mut scratch);
+        blocked_rows(a, m, k, a_strides, &scratch, n, out);
+    });
+}
+
+/// Columns of `out` one [`row_dots`] pass keeps in flight.
+const DOT_COLS: usize = 8;
+
+/// `out = a[m, k] · b[n, k]ᵀ` as dot products of A's rows with B's rows,
+/// read in place: [`DOT_COLS`] independent accumulators per pass, each
+/// summing its cell in `k` order from zero. The cells are independent
+/// chains, so the adds overlap without reassociating any of them. It has
+/// no `target_feature` instantiations: a vector lane per cell would have
+/// to gather B's column across rows, and AVX2/AVX-512 builds of this body
+/// measured slower than the scalar chains.
+fn row_dots(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    for i in 0..m {
+        let a_row = &a[i * k..i * k + k];
+        let out_row = &mut out[i * n..i * n + n];
+        let mut j = 0;
+        while j + DOT_COLS <= n {
+            let rows: [&[f32]; DOT_COLS] = std::array::from_fn(|l| &b[(j + l) * k..(j + l) * k + k]);
+            let mut acc = [0f32; DOT_COLS];
+            for (kk, &av) in a_row.iter().enumerate() {
+                for (acc_l, row) in acc.iter_mut().zip(&rows) {
+                    *acc_l += av * row[kk];
+                }
+            }
+            out_row[j..j + DOT_COLS].copy_from_slice(&acc);
+            j += DOT_COLS;
+        }
+        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
+            let mut acc = 0f32;
+            for (&av, &bv) in a_row.iter().zip(&b[jj * k..jj * k + k]) {
+                acc += av * bv;
+            }
+            *o = acc;
+        }
     }
 }
 
@@ -186,20 +301,46 @@ fn pack_b(b: &[f32], k: usize, n: usize, packed: &mut Vec<f32>) {
     }
 }
 
-/// Runs the blocked kernel over the `m` rows of `a`, writing every row of
-/// the output, with SIMD dispatch.
-fn blocked_rows(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
+/// Packs `bᵀ` for `b[n, k]` into the panels [`pack_b`] would build from a
+/// transposed copy: panel `p` stores, for `kk = 0..k`, the (up to) NR
+/// values `b[p*NR ..][kk]` contiguously.
+fn pack_bt(b: &[f32], k: usize, n: usize, packed: &mut Vec<f32>) {
+    packed.clear();
+    packed.reserve(k * n);
+    let mut j0 = 0;
+    while j0 < n {
+        let rows = &b[j0 * k..(j0 + NR.min(n - j0)) * k];
+        for kk in 0..k {
+            packed.extend(rows.iter().skip(kk).step_by(k));
+        }
+        j0 += NR;
+    }
+}
+
+/// Runs the blocked kernel over the `m` rows of A, writing every row of
+/// the output, with SIMD dispatch. A's element `(i, kk)` is
+/// `a[i * a_strides.0 + kk * a_strides.1]`: `(k, 1)` for a row-major A,
+/// `(1, m)` for the transpose of a row-major `[k, m]` matrix.
+fn blocked_rows(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    a_strides: (usize, usize),
+    packed: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level()` only reports Avx512 when
         // `is_x86_feature_detected!("avx512f")` returned true on this
         // host, so the target-feature contract of the wrapper holds.
-        SimdLevel::Avx512 => unsafe { blocked_rows_avx512(a, m, k, packed, n, out) },
+        SimdLevel::Avx512 => unsafe { blocked_rows_avx512(a, m, k, a_strides, packed, n, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — Avx2 is only reported when
         // `is_x86_feature_detected!("avx2")` returned true.
-        SimdLevel::Avx2 => unsafe { blocked_rows_avx2(a, m, k, packed, n, out) },
-        _ => blocked_rows_impl(a, m, k, packed, n, out),
+        SimdLevel::Avx2 => unsafe { blocked_rows_avx2(a, m, k, a_strides, packed, n, out) },
+        _ => blocked_rows_impl(a, m, k, a_strides, packed, n, out),
     }
 }
 
@@ -212,8 +353,16 @@ fn blocked_rows(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, out: &m
 #[target_feature(enable = "avx512f")]
 // SAFETY: `unsafe fn` purely for the target-feature contract restated in
 // `# Safety` above; the body performs no unsafe operations.
-unsafe fn blocked_rows_avx512(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
-    blocked_rows_impl(a, m, k, packed, n, out)
+unsafe fn blocked_rows_avx512(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    a_strides: (usize, usize),
+    packed: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    blocked_rows_impl(a, m, k, a_strides, packed, n, out)
 }
 
 /// AVX2 instantiation of [`blocked_rows_impl`].
@@ -225,14 +374,30 @@ unsafe fn blocked_rows_avx512(a: &[f32], m: usize, k: usize, packed: &[f32], n: 
 #[target_feature(enable = "avx2")]
 // SAFETY: `unsafe fn` purely for the target-feature contract restated in
 // `# Safety` above; the body performs no unsafe operations.
-unsafe fn blocked_rows_avx2(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
-    blocked_rows_impl(a, m, k, packed, n, out)
+unsafe fn blocked_rows_avx2(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    a_strides: (usize, usize),
+    packed: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    blocked_rows_impl(a, m, k, a_strides, packed, n, out)
 }
 
 /// Blocked-kernel body, shared by the scalar and `target_feature`
 /// instantiations (which differ only in what the compiler may vectorize).
 #[inline(always)]
-fn blocked_rows_impl(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
+fn blocked_rows_impl(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    a_strides: (usize, usize),
+    packed: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     let mut j0 = 0;
     let mut poff = 0;
     while j0 < n {
@@ -241,10 +406,11 @@ fn blocked_rows_impl(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, ou
         let mut i0 = 0;
         while i0 < m {
             let mr = MR.min(m - i0);
+            let a_tile = &a[i0 * a_strides.0..];
             if mr == MR && w == NR {
-                microkernel_full(&a[i0 * k..], k, panel, &mut out[i0 * n + j0..], n);
+                microkernel_full(a_tile, a_strides, panel, &mut out[i0 * n + j0..], n);
             } else {
-                microkernel_edge(&a[i0 * k..], k, panel, w, mr, &mut out[i0 * n + j0..], n);
+                microkernel_edge(a_tile, a_strides, k, panel, w, mr, &mut out[i0 * n + j0..], n);
             }
             i0 += mr;
         }
@@ -257,12 +423,12 @@ fn blocked_rows_impl(a: &[f32], m: usize, k: usize, packed: &[f32], n: usize, ou
 /// packed panel. `acc[i][j]` sums cell `(i0+i, j0+j)` in strict k order —
 /// the same association as the scalar reference.
 #[inline(always)]
-fn microkernel_full(a: &[f32], k: usize, panel: &[f32], out: &mut [f32], ldo: usize) {
+fn microkernel_full(a: &[f32], (rs, cs): (usize, usize), panel: &[f32], out: &mut [f32], ldo: usize) {
     let mut acc = [[0f32; NR]; MR];
     // A full panel holds exactly `k` rows of `NR` values.
     for (kk, bvals) in panel.as_chunks::<NR>().0.iter().enumerate() {
         for i in 0..MR {
-            let a_ik = a[i * k + kk];
+            let a_ik = a[i * rs + kk * cs];
             for j in 0..NR {
                 acc[i][j] += a_ik * bvals[j];
             }
@@ -278,6 +444,7 @@ fn microkernel_full(a: &[f32], k: usize, panel: &[f32], out: &mut [f32], ldo: us
 #[inline(always)]
 fn microkernel_edge(
     a: &[f32],
+    (rs, cs): (usize, usize),
     k: usize,
     panel: &[f32],
     w: usize,
@@ -288,7 +455,7 @@ fn microkernel_edge(
     for i in 0..mr {
         let mut acc = [0f32; NR];
         for kk in 0..k {
-            let a_ik = a[i * k + kk];
+            let a_ik = a[i * rs + kk * cs];
             let bvals = &panel[kk * w..kk * w + w];
             for (j, &bv) in bvals.iter().enumerate() {
                 acc[j] += a_ik * bv;
@@ -333,8 +500,93 @@ mod tests {
             let mut packed = Vec::new();
             pack_b(&b, k, n, &mut packed);
             let mut got = vec![0.0f32; m * n];
-            blocked_rows(&a, m, k, &packed, n, &mut got);
+            blocked_rows(&a, m, k, (k, 1), &packed, n, &mut got);
             assert!(bits_eq(&want, &got), "blocked differs at {m}x{k}x{n}");
+        }
+    }
+
+    /// Bits equal, or both NaN: NaN payloads are not part of any result.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..cols * rows).map(|t| x[(t % rows) * cols + t / rows]).collect()
+    }
+
+    /// Seeded values with `-0.0`, `±inf` and NaN sprinkled in when
+    /// `special` is set.
+    fn values(rng: &mut Rng, len: usize, special: bool) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..40u32) {
+                0 if special => -0.0,
+                1 if special => f32::INFINITY,
+                2 if special => f32::NEG_INFINITY,
+                3 if special => f32::NAN,
+                4 => 0.0,
+                _ => rng.gen_range(-1.0..=1.0),
+            })
+            .collect()
+    }
+
+    /// The transpose-free products against transpose-then-reference, on
+    /// one row, fewer rows than a register tile, at least a tile, and
+    /// sizes above `BLOCKED_MIN_WORK`, with and without special values.
+    #[test]
+    fn transpose_free_products_match_transpose_then_reference() {
+        let mut rng = Rng::seed_from_u64(0xb7a7);
+        let shapes = [
+            (1usize, 256usize, 64usize),
+            (1, 7, 3),
+            (1, 1, 9),
+            (2, 33, 17),
+            (3, 64, 48),
+            (4, 16, 16),
+            (5, 7, 3),
+            (13, 64, 130),
+            (37, 41, 129),
+            (64, 64, 64),
+            (6, 1, 40),
+        ];
+        for &(m, k, n) in &shapes {
+            for special in [false, true] {
+                let a = values(&mut rng, m * k, special);
+                let b = values(&mut rng, n * k, special);
+                let want = naive(&a, m, k, &transposed(&b, n, k), n);
+                let mut got = vec![f32::NAN; m * n];
+                matmul_bt_into(&a, m, k, &b, n, &mut got);
+                assert!(same_bits(&want, &got), "a·bᵀ differs at {m}x{k}x{n} (special {special})");
+
+                // Aᵀ·B with A stored [k, m].
+                let at = values(&mut rng, k * m, special);
+                let b = values(&mut rng, k * n, special);
+                let want = naive(&transposed(&at, k, m), m, k, &b, n);
+                let mut got = vec![f32::NAN; m * n];
+                matmul_at_into(&at, k, m, &b, n, &mut got);
+                assert!(same_bits(&want, &got), "aᵀ·b differs at {m}x{k}x{n} (special {special})");
+            }
+        }
+        // A zero times NaN or inf is NaN on every path, and a cell whose
+        // products are all -0.0 sums to +0.0, as the reference's
+        // `0 + …` does.
+        for &(m, k, n) in &[(1usize, 4usize, 9usize), (40, 32, 33)] {
+            let a = vec![0.0f32; m * k];
+            let mut b = vec![-1.0f32; n * k];
+            b[0] = f32::NAN;
+            b[k] = f32::INFINITY;
+            let mut got = vec![0.0f32; m * n];
+            matmul_bt_into(&a, m, k, &b, n, &mut got);
+            assert!(got.chunks(n).all(|row| row[0].is_nan() && row[1].is_nan()), "0·NaN lost at {m}x{k}x{n}");
+            assert!(got.chunks(n).all(|row| row[2..].iter().all(|v| v.to_bits() == 0)), "-0 sum at {m}x{k}x{n}");
+            let mut b = vec![-1.0f32; k * n];
+            b[0] = f32::NAN;
+            b[1] = f32::NEG_INFINITY;
+            let a = vec![0.0f32; k * m];
+            let mut got = vec![0.0f32; m * n];
+            matmul_at_into(&a, k, m, &b, n, &mut got);
+            assert!(got.chunks(n).all(|row| row[0].is_nan() && row[1].is_nan()), "0·NaN lost at {m}x{k}x{n}");
+            assert!(got.chunks(n).all(|row| row[2..].iter().all(|v| v.to_bits() == 0)), "-0 sum at {m}x{k}x{n}");
         }
     }
 

@@ -190,6 +190,40 @@ impl Tensor {
         );
     }
 
+    /// Computes `self · otherᵀ` into a caller-provided `[self.rows,
+    /// other.rows]` tensor, reading `other`'s rows in place: no transposed
+    /// copy. Every element of `out` is overwritten, bitwise equal to
+    /// `self.matmul(&other.transpose())` (the same per-cell `k` order).
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch or wrong `out` shape.
+    pub fn matmul_bt_into(&self, other: &Tensor, out: &mut Tensor) {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_bt shape mismatch: [{}, {}] @ [{}, {}]^T",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        assert_eq!(out.shape(), (self.rows, other.rows), "matmul_bt_into output shape mismatch");
+        matmul::matmul_bt_into(&self.data, self.rows, self.cols, &other.data, other.rows, &mut out.data);
+    }
+
+    /// Computes `selfᵀ · other` into a caller-provided `[self.cols,
+    /// other.cols]` tensor, reading `self`'s columns in place: no
+    /// transposed copy. Every element of `out` is overwritten, bitwise
+    /// equal to `self.transpose().matmul(other)`.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch or wrong `out` shape.
+    pub fn matmul_at_into(&self, other: &Tensor, out: &mut Tensor) {
+        assert_eq!(
+            self.rows, other.rows,
+            "matmul_at shape mismatch: [{}, {}]^T @ [{}, {}]",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        assert_eq!(out.shape(), (self.cols, other.cols), "matmul_at_into output shape mismatch");
+        matmul::matmul_at_into(&self.data, self.rows, self.cols, &other.data, other.cols, &mut out.data);
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);

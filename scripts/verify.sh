@@ -38,16 +38,28 @@ cargo run -q --release --offline -p nlidb-lint -- --format=json
 NLIDB_THREADS=1 cargo test -q --offline
 cargo test -q --offline
 
+# The exhaustive `tanh` sweep: every one of the 2^32 inputs of the
+# in-tree `nlidb_tensor::math::tanh_slice` against the host's `f32::tanh`
+# (glibc 2.36's `tanhf`), fanned across the pool; it must report 0
+# mismatches (DESIGN.md "Kernel fast paths"). Ignored in the plain suite
+# for its length: about 40 s in release on a 2-vCPU AVX-512 host, longer
+# where the slice form runs fewer lanes.
+cargo test -q --release --offline -p nlidb-tensor --lib \
+    math::tests::exhaustive_sweep_matches_libm -- --ignored --exact
+
 # Bench smoke: confirms the component benchmarks (including the
-# blocked-vs-reference matmul and serial-vs-parallel train-step entries)
-# run end to end and write results/bench_components.json.
+# blocked-vs-reference matmul, the in-tree-vs-libm tanh, the
+# transpose-free one-row product and serial-vs-parallel train-step
+# entries) run end to end and write results/bench_components.json.
 NLIDB_BENCH_SMOKE=1 cargo bench -q --offline -p nlidb-bench
 
 # Bench-regression gate: the fresh smoke numbers must stay within 25% of
 # the committed baseline's min_ns on every ceiling row, and every ratio
-# row (the blocked matmul kernel against the reference kernel among
-# them) within its limit of a partner row from the same run (DESIGN.md
-# "Kernel fast paths"). `cargo bench` writes the fresh results under the
+# row (the blocked matmul kernel against the reference kernel, the
+# in-tree tanh against libm, the one-row A·Bᵀ against transpose-then-
+# multiply, and the shard read and warm batch against a fixed
+# calibration loop among them) within its limit of a partner row from
+# the same run (DESIGN.md "Kernel fast paths"). `cargo bench` writes the fresh results under the
 # bench package dir; the baseline is committed at
 # results/bench_baseline.json.
 cargo run -q --release --offline -p nlidb-bench --bin bench_gate -- \
