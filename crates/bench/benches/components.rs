@@ -9,20 +9,22 @@
 //! to `results/bench_components.json` in the same shape as the
 //! experiment records.
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
 use nlidb_core::mention::adversarial::influence;
 use nlidb_core::mention::classifier::{training_pairs, MentionClassifier};
+use nlidb_core::mention::value::ValueIndex;
 use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
 use nlidb_core::vocab::build_input_vocab;
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::stream::{write_corpus, CorpusReader};
-use nlidb_data::wikisql::{generate, WikiSqlConfig};
+use nlidb_data::wikisql::{gen_table, generate, WikiSqlConfig};
 use nlidb_data::{CorpusPlan, ShardedCorpusConfig};
 use nlidb_json::json;
 use nlidb_sqlir::{canonicalize, parse_sql, query_match};
-use nlidb_storage::{execute, TableStats};
+use nlidb_storage::{execute, Table, TableStats, Value};
 use nlidb_tensor::{math, pool, set_matmul_kernel, Graph, MatmulKernel, Rng, Tensor};
 use nlidb_text::{tokenize, DepTree, EmbeddingSpace};
 
@@ -153,10 +155,77 @@ fn bench_sql(records: &mut Vec<Record>) {
     bench("sql/execute", records, || {
         black_box(execute(black_box(&e.table), black_box(&e.query)).ok());
     });
+}
+
+/// The per-table context a cache miss builds, on a corpus-shaped
+/// 1,500-row table (the middle of the serving benchmark's large tables):
+/// the column statistics and the content index. Each is timed in
+/// alternating batches beside the loop it replaced, which visits every
+/// cell, and the gate holds it to a ratio of that loop. The fixed
+/// [`calibration`] loop does not do here: on a shared 2-vCPU host,
+/// allocation-heavy code ran up to 1.8x slower in some processes than
+/// in others while that loop held its speed, so the index's ratio to it
+/// overlapped between the two algorithms.
+fn bench_table_context(records: &mut Vec<Record>) {
+    let table = gen_table("bench_1500", &mut Rng::seed_from_u64(0x1500), (1500, 1500)).table;
     let space = EmbeddingSpace::with_builtin_lexicon(24, 7);
-    bench("storage/column_stats", records, || {
-        black_box(TableStats::compute(black_box(&e.table), &space));
-    });
+    bench_pair(
+        ["storage/table_stats_1500", "storage/table_stats_1500_per_cell"],
+        records,
+        || {
+            black_box(TableStats::compute(black_box(&table), &space));
+        },
+        || {
+            black_box(per_cell_table_stats(black_box(&table), &space));
+        },
+    );
+    bench_pair(
+        ["mention/value_index_1500", "mention/value_index_1500_every_cell"],
+        records,
+        || {
+            black_box(ValueIndex::build(black_box(&table)));
+        },
+        || {
+            black_box(every_cell_value_index(black_box(&table)));
+        },
+    );
+}
+
+/// The column statistics as computed before distinct cells were
+/// memoized: every non-null cell tokenized, embedded and canonicalized
+/// on its own (centroid sums and distinct canonical texts per column).
+fn per_cell_table_stats(table: &Table, space: &EmbeddingSpace) -> Vec<(Vec<f32>, usize)> {
+    (0..table.num_cols())
+        .map(|c| {
+            let mut centroid = vec![0.0f32; space.dim()];
+            let mut distinct = std::collections::HashSet::new();
+            for cell in table.column_values(c) {
+                if matches!(cell, Value::Null) {
+                    continue;
+                }
+                let tokens = tokenize(&cell.to_string());
+                for (a, b) in centroid.iter_mut().zip(space.phrase_vector(&tokens)) {
+                    *a += b;
+                }
+                black_box(cell.as_number());
+                distinct.insert(cell.canonical_text());
+            }
+            (centroid, distinct.len())
+        })
+        .collect()
+}
+
+/// The content index's buckets as built before repeated cells were
+/// skipped: every cell canonicalized, squeezed and looked up.
+fn every_cell_value_index(table: &Table) -> BTreeMap<String, BTreeMap<usize, String>> {
+    let mut buckets: BTreeMap<String, BTreeMap<usize, String>> = BTreeMap::new();
+    for c in 0..table.num_cols() {
+        for v in table.column_values(c) {
+            let canon = v.canonical_text();
+            buckets.entry(canon.replace(' ', "")).or_default().entry(c).or_insert(canon);
+        }
+    }
+    buckets
 }
 
 /// The sharded corpus plane: generating one 64-question shard from a
@@ -493,6 +562,7 @@ fn main() {
     let mut records = Vec::new();
     bench_text(&mut records);
     bench_sql(&mut records);
+    bench_table_context(&mut records);
     bench_data(&mut records);
     bench_models(&mut records);
     bench_matmul(&mut records);

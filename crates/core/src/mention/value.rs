@@ -178,8 +178,9 @@ impl Fit for ValueDetector {
 /// squeezed equality). The index therefore buckets every cell by the
 /// *squeezed* canonical text, keeping — per bucket, per column — the
 /// canonical text of the first matching cell in column order, which is
-/// exactly what the linear scan reports. Building it is one pass over the
-/// table, after which each span lookup is `O(log cells)` instead of a
+/// exactly what the linear scan reports. Building it is one pass over
+/// each column's distinct cells (a repeated cell cannot change a bucket),
+/// after which each span lookup is `O(log cells)` instead of a
 /// full table scan — the per-table work the serving engine amortizes
 /// across a batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,7 +204,13 @@ impl ValueIndex {
             std::collections::BTreeMap<usize, String>,
         > = std::collections::BTreeMap::new();
         for c in 0..table.num_cols() {
+            let mut seen = std::collections::HashSet::new();
             for v in table.column_values(c) {
+                // A repeated cell has the same canonical text, so its
+                // `or_insert` below would change nothing.
+                if !seen.insert(v.key()) {
+                    continue;
+                }
                 let canon = v.canonical_text();
                 // First cell per (bucket, column) wins, as in the scan.
                 buckets
@@ -385,6 +392,7 @@ pub fn training_triples(
 mod tests {
     use super::*;
     use nlidb_data::wikisql::{generate, WikiSqlConfig};
+    use nlidb_storage::Value;
     use nlidb_text::tokenize;
 
     fn setup() -> (ValueDetector, nlidb_data::Dataset, EmbeddingSpace) {
@@ -496,34 +504,52 @@ mod tests {
         assert!(det.detect(&[], &stats).is_empty());
     }
 
+    /// Asserts that the indexed lookup reproduces the linear scan exactly
+    /// — same spans, same columns, same score vectors, same cell-text
+    /// overrides — for `question` against `table`.
+    fn assert_index_matches_scan(question: &[String], table: &nlidb_storage::Table) {
+        let index = ValueIndex::build(table);
+        assert_eq!(index.num_cols(), table.num_cols());
+        let scan = super::scan_content_matches(question, table);
+        let fast = content_matches_indexed(question, &index);
+        assert_eq!(scan, fast, "mismatch on {question:?}");
+    }
+
     #[test]
     fn indexed_content_matches_equal_scan() {
-        // The ValueIndex fast path must reproduce the linear scan exactly
-        // — same spans, same columns, same score vectors, same cell-text
-        // overrides — on every generated question, plus adversarial spans
-        // (values of *other* tables, shuffled subspans).
+        // Every generated question, plus adversarial spans (values of
+        // *other* tables), on the corpus's tables and on copies whose
+        // cells repeat: each row again in reverse order, then every
+        // third row, so a column's first match can sit after repeats of
+        // other cells and a repeated cell lands in a non-empty bucket.
         let ds = generate(&WikiSqlConfig::tiny(43));
         let mut rng = nlidb_tensor::Rng::seed_from_u64(0x1DE);
         let mut checked = 0;
         for e in ds.train.iter().chain(&ds.dev).take(60) {
-            let index = ValueIndex::build(&e.table);
-            assert_eq!(index.num_cols(), e.table.num_cols());
-            let scan = super::scan_content_matches(&e.question, &e.table);
-            let fast = content_matches_indexed(&e.question, &index);
-            assert_eq!(scan, fast, "mismatch on {:?}", e.question);
-            // Cross-table question: values rarely present in this table.
+            let mut repeated = (*e.table).clone();
+            let rows: Vec<Vec<Value>> =
+                e.table.iter_rows().map(|r| r.into_iter().cloned().collect()).collect();
+            for row in rows.iter().rev().chain(rows.iter().step_by(3)) {
+                repeated.push_row(row.clone());
+            }
             let other = &ds.train[rng.gen_range(0..ds.train.len())];
-            let scan = super::scan_content_matches(&other.question, &e.table);
-            let fast = content_matches_indexed(&other.question, &index);
-            assert_eq!(scan, fast);
+            for table in [&*e.table, &repeated] {
+                assert_index_matches_scan(&e.question, table);
+                assert_index_matches_scan(&other.question, table);
+            }
             checked += 1;
         }
         assert!(checked >= 40);
+        // A corpus-shaped large table, where most cells repeat.
+        let big = nlidb_data::wikisql::gen_table("big", &mut rng, (1000, 2000));
+        for e in ds.dev.iter().take(4) {
+            assert_index_matches_scan(&e.question, &big.table);
+        }
     }
 
     #[test]
     fn index_reports_first_matching_column_and_cell_text() {
-        use nlidb_storage::{Column, DataType, Schema, Value};
+        use nlidb_storage::{Column, DataType, Schema};
         let schema = Schema::new(vec![
             Column::new("A", DataType::Text),
             Column::new("B", DataType::Text),

@@ -93,12 +93,14 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        // Most objects on the wire are one-key cells (`{"Text": …}`), so
+        // start with room for one pair instead of the default four.
+        let mut pairs = Vec::with_capacity(1);
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -262,6 +264,21 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn one_key_objects_hold_one_pair_of_capacity() {
+        for (text, len) in [(r#"{"Text":"a"}"#, 1), (r#"{"a":1,"b":2}"#, 2), ("{}", 0)] {
+            match Json::parse(text).unwrap() {
+                Json::Obj(pairs) => {
+                    assert_eq!(pairs.len(), len);
+                    if len == 1 {
+                        assert_eq!(pairs.capacity(), 1, "{text}");
+                    }
+                }
+                other => panic!("not an object: {other:?}"),
+            }
+        }
     }
 
     #[test]

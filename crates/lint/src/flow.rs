@@ -316,6 +316,18 @@ mod tests {
     }
 
     #[test]
+    fn self_calls_to_an_impls_own_expect_are_not_flagged() {
+        // A parser's own `fn expect` returns a `Result`; `self.expect(…)`
+        // resolves to it. `opt.expect("m")` in the same impl still fires,
+        // and so does `self.expect(…)` in an impl without its own `expect`.
+        let src = "pub fn entry(p: &mut Parser, o: &Other) { p.array(None); o.go(); }\nstruct Parser;\nimpl Parser {\n    fn expect(&mut self, b: u8) -> Result<(), ()> { Ok(()) }\n    fn array(&mut self, opt: Option<u8>) -> Result<u8, ()> {\n        self.expect(b'[')?;\n        Ok(opt.expect(\"m\"))\n    }\n}\nimpl Other {\n    fn go(&self) { self.expect(\"x\") }\n}\n";
+        let diags = run_one(src, "crates/core/src/x.rs", vec![(None, "entry")]);
+        let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![7, 11], "{diags:?}");
+        assert!(diags.iter().all(|d| d.severity == Severity::Deny));
+    }
+
+    #[test]
     fn indexing_is_warn_in_audited_crates_and_silent_outside() {
         let src = "pub fn entry(v: &[u32], i: usize) -> u32 { v[i] }\n";
         let audited = run_one(src, "crates/storage/src/x.rs", vec![(None, "entry")]);

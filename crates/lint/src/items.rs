@@ -95,8 +95,9 @@ pub struct FnDecl {
 enum Scope {
     /// A plain block, struct/match/trait body, or module body.
     Block,
-    /// An `impl` body with its recovered self type.
-    Impl(Option<String>),
+    /// An `impl` body with its recovered self type and the names of the
+    /// `fn`s it defines directly.
+    Impl(Option<String>, Vec<String>),
     /// A `fn` body; the index points into the output `Vec<FnDecl>`.
     Fn(usize),
 }
@@ -131,6 +132,27 @@ fn skim_impl_header(toks: &[Token], mut j: usize) -> (Option<String>, usize) {
         j += 1;
     }
     (candidate, j)
+}
+
+/// Names of the `fn` items directly inside the `impl` body whose `{`
+/// sits at `open` (not those of nested blocks or nested impls).
+fn impl_fn_names(toks: &[Token], open: usize) -> Vec<String> {
+    let end = skip_balanced(toks, open);
+    let mut depth = 0usize;
+    let mut names = Vec::new();
+    for (j, t) in toks.iter().enumerate().take(end).skip(open + 1) {
+        match t.text.as_str() {
+            "{" => depth += 1,
+            "}" => depth = depth.saturating_sub(1),
+            "fn" if depth == 0 && t.kind == TokKind::Ident => {
+                if let Some(name) = toks.get(j + 1).filter(|n| n.kind == TokKind::Ident) {
+                    names.push(name.text.clone());
+                }
+            }
+            _ => {}
+        }
+    }
+    names
 }
 
 /// Index just past a balanced delimiter region whose opener sits at
@@ -199,7 +221,7 @@ pub fn parse(scanned: &Scanned) -> Vec<FnDecl> {
         if t.kind == TokKind::Ident && t.text == "impl" {
             let (self_ty, j) = skim_impl_header(toks, i + 1);
             if toks.get(j).is_some_and(|b| b.text == "{") {
-                stack.push(Scope::Impl(self_ty));
+                stack.push(Scope::Impl(self_ty, impl_fn_names(toks, j)));
             }
             i = j + 1;
             continue;
@@ -237,7 +259,7 @@ pub fn parse(scanned: &Scanned) -> Vec<FnDecl> {
                         .push(CallSite { name: name_tok.text.clone(), line: name_tok.line });
                 }
                 let owner = stack.iter().rev().find_map(|s| match s {
-                    Scope::Impl(o) => Some(o.clone()),
+                    Scope::Impl(o, _) => Some(o.clone()),
                     _ => None,
                 });
                 let idx = fns.len();
@@ -287,7 +309,16 @@ pub fn parse(scanned: &Scanned) -> Vec<FnDecl> {
                 });
             } else if next == Some("(") && !NON_CALL_IDENTS.contains(&t.text.as_str()) {
                 let is_method = i >= 1 && toks[i - 1].text == ".";
-                if is_method && PANIC_METHODS.contains(&t.text.as_str()) {
+                // `self.expect(…)` calls the enclosing impl's own `fn
+                // expect` when it defines one, not `Option::expect`.
+                let own_method = is_method
+                    && i >= 2
+                    && toks[i - 2].text == "self"
+                    && stack.iter().rev().find_map(|s| match s {
+                        Scope::Impl(_, names) => Some(names.contains(&t.text)),
+                        _ => None,
+                    }) == Some(true);
+                if is_method && !own_method && PANIC_METHODS.contains(&t.text.as_str()) {
                     fns[cur].sites.push(PanicSite {
                         line: t.line,
                         kind: PanicKind::Named,

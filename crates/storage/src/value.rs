@@ -17,7 +17,33 @@ pub enum Value {
     Null,
 }
 
+/// A cell's variant and value, hashable, with a float keyed by its bits.
+/// Cells with equal keys have equal display text, tokens, canonical text
+/// and number, so work derived from one cell holds for every cell with
+/// its key (`TableStats::compute`, `ValueIndex::build`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CellKey<'a> {
+    /// Text cell.
+    Text(&'a str),
+    /// Integer cell.
+    Int(i64),
+    /// Float cell, by [`f64::to_bits`].
+    Float(u64),
+    /// Missing value.
+    Null,
+}
+
 impl Value {
+    /// This cell's [`CellKey`].
+    pub fn key(&self) -> CellKey<'_> {
+        match self {
+            Value::Text(t) => CellKey::Text(t),
+            Value::Int(i) => CellKey::Int(*i),
+            Value::Float(f) => CellKey::Float(f.to_bits()),
+            Value::Null => CellKey::Null,
+        }
+    }
+
     /// Numeric view, if the value is numeric or numeric-looking text.
     pub fn as_number(&self) -> Option<f64> {
         match self {

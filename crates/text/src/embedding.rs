@@ -12,6 +12,8 @@
 //! number concept with magnitude-dependent perturbation so years cluster
 //! near years. Everything is a pure function of `(seed, word)`.
 
+use std::collections::HashMap;
+
 use nlidb_tensor::Rng;
 
 use crate::lexicon::Lexicon;
@@ -22,6 +24,10 @@ pub struct EmbeddingSpace {
     dim: usize,
     seed: u64,
     lexicon: Lexicon,
+    /// `base_vector(fnv1a("<number-concept>"))`, shared by every number.
+    number_concept: Vec<f32>,
+    /// `base_vector(fnv1a("<number-direction>"))`, scaled by magnitude.
+    number_direction: Vec<f32>,
 }
 
 fn fnv1a(s: &str) -> u64 {
@@ -33,12 +39,59 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// A seeded unit vector of width `dim` for `key`.
+fn base_vector(seed: u64, dim: usize, key: u64) -> Vec<f32> {
+    let mut rng = Rng::seed_from_u64(seed ^ key.wrapping_mul(0x9e3779b97f4a7c15));
+    let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
+    for x in &mut v {
+        *x /= norm;
+    }
+    v
+}
+
+/// The mean of `tokens`' word vectors: `add` adds each token's vector
+/// into the accumulator in token order, then the sum is divided by the
+/// count. Every phrase vector goes through this one summation, so a
+/// memoized lookup ([`WordVectors`]) gives the same bits as a fresh one.
+fn mean_vector<T>(
+    dim: usize,
+    tokens: impl ExactSizeIterator<Item = T>,
+    mut add: impl FnMut(T, &mut [f32]),
+) -> Vec<f32> {
+    let mut acc = vec![0.0f32; dim];
+    let n = tokens.len();
+    if n == 0 {
+        return acc;
+    }
+    for t in tokens {
+        add(t, &mut acc);
+    }
+    let n = n as f32;
+    for a in &mut acc {
+        *a /= n;
+    }
+    acc
+}
+
+fn add_into(acc: &mut [f32], v: &[f32]) {
+    for (a, b) in acc.iter_mut().zip(v) {
+        *a += b;
+    }
+}
+
 impl EmbeddingSpace {
     /// Creates the space. `dim` is the vector width (the paper uses 300;
     /// the reproduction defaults to something much smaller).
     pub fn new(dim: usize, seed: u64, lexicon: Lexicon) -> Self {
         assert!(dim >= 4, "embedding dim too small to carry structure");
-        EmbeddingSpace { dim, seed, lexicon }
+        EmbeddingSpace {
+            dim,
+            seed,
+            lexicon,
+            number_concept: base_vector(seed, dim, fnv1a("<number-concept>")),
+            number_direction: base_vector(seed, dim, fnv1a("<number-direction>")),
+        }
     }
 
     /// With the built-in lexicon.
@@ -61,16 +114,6 @@ impl EmbeddingSpace {
         &self.lexicon
     }
 
-    fn base_vector(&self, key: u64) -> Vec<f32> {
-        let mut rng = Rng::seed_from_u64(self.seed ^ key.wrapping_mul(0x9e3779b97f4a7c15));
-        let mut v: Vec<f32> = (0..self.dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-        for x in &mut v {
-            *x /= norm;
-        }
-        v
-    }
-
     /// Numeric-token detection: integers, decimals, 4-digit years, ranges.
     fn parse_numeric(word: &str) -> Option<f32> {
         let core = word.split('-').next().unwrap_or(word);
@@ -83,44 +126,30 @@ impl EmbeddingSpace {
         if let Some(mag) = Self::parse_numeric(&word) {
             // Numbers share a concept; magnitude perturbs a fixed direction
             // so nearby magnitudes are nearby vectors.
-            let mut v = self.base_vector(fnv1a("<number-concept>"));
-            let dir = self.base_vector(fnv1a("<number-direction>"));
+            let mut v = self.number_concept.clone();
             let scale = (mag.abs().max(1.0)).ln() / 20.0;
-            for (a, b) in v.iter_mut().zip(&dir) {
+            for (a, b) in v.iter_mut().zip(&self.number_direction) {
                 *a += scale * b;
             }
             return v;
         }
         match self.lexicon.group_of(&word) {
             Some(group) => {
-                let mut v = self.base_vector(fnv1a(&format!("<group-{group}>")));
-                let noise = self.base_vector(fnv1a(&word) ^ 0xabcd);
+                let mut v = base_vector(self.seed, self.dim, fnv1a(&format!("<group-{group}>")));
+                let noise = base_vector(self.seed, self.dim, fnv1a(&word) ^ 0xabcd);
                 for (a, b) in v.iter_mut().zip(&noise) {
                     *a += 0.18 * b;
                 }
                 v
             }
-            None => self.base_vector(fnv1a(&word)),
+            None => base_vector(self.seed, self.dim, fnv1a(&word)),
         }
     }
 
     /// Mean vector of a token span (the paper's `s_{q[i,j]}` and cell
     /// statistics both average word embeddings).
     pub fn phrase_vector(&self, tokens: &[String]) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.dim];
-        if tokens.is_empty() {
-            return acc;
-        }
-        for t in tokens {
-            for (a, b) in acc.iter_mut().zip(self.vector(t)) {
-                *a += b;
-            }
-        }
-        let n = tokens.len() as f32;
-        for a in &mut acc {
-            *a /= n;
-        }
-        acc
+        mean_vector(self.dim, tokens.iter(), |t, acc| add_into(acc, &self.vector(t)))
     }
 
     /// Cosine similarity between two vectors.
@@ -164,6 +193,31 @@ impl EmbeddingSpace {
                 }
             })
             .collect()
+    }
+}
+
+/// [`EmbeddingSpace::vector`] memoized per distinct word, for work that
+/// embeds many phrases sharing words (a table's cells). Its phrase
+/// vectors are bit-identical to [`EmbeddingSpace::phrase_vector`]'s.
+pub struct WordVectors<'s> {
+    space: &'s EmbeddingSpace,
+    vectors: HashMap<String, Vec<f32>>,
+}
+
+impl<'s> WordVectors<'s> {
+    /// An empty memo over `space`.
+    pub fn new(space: &'s EmbeddingSpace) -> Self {
+        WordVectors { space, vectors: HashMap::new() }
+    }
+
+    /// [`EmbeddingSpace::phrase_vector`] of `tokens`, computing each
+    /// word's vector only the first time this memo sees the word. Takes
+    /// the tokens by value so a new word's string moves into the memo.
+    pub fn phrase_vector(&mut self, tokens: Vec<String>) -> Vec<f32> {
+        let (space, vectors) = (self.space, &mut self.vectors);
+        mean_vector(space.dim, tokens.into_iter(), |t, acc| {
+            add_into(acc, vectors.entry(t).or_insert_with_key(|w| space.vector(w)));
+        })
     }
 }
 
@@ -236,6 +290,42 @@ mod tests {
         let d = s.vector("director");
         for i in 0..s.dim() {
             assert!((p[i] - (f[i] + d[i]) / 2.0).abs() < 1e-6);
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn numeric_vectors_equal_the_from_scratch_base_vectors() {
+        // The number concept and direction are built once, at
+        // construction; every numeric word must still get the bits of
+        // computing both from the seed on the spot.
+        for s in [space(), EmbeddingSpace::with_builtin_lexicon(7, 12345)] {
+            for word in ["0", "3", "17.25", "2006", "2006-07", "1e3", "99999999999"] {
+                let mag = EmbeddingSpace::parse_numeric(word).expect("numeric");
+                let mut want = base_vector(s.seed, s.dim, fnv1a("<number-concept>"));
+                let dir = base_vector(s.seed, s.dim, fnv1a("<number-direction>"));
+                let scale = (mag.abs().max(1.0)).ln() / 20.0;
+                for (a, b) in want.iter_mut().zip(&dir) {
+                    *a += scale * b;
+                }
+                assert_eq!(bits(&s.vector(word)), bits(&want), "{word}");
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_phrase_vectors_are_bit_identical() {
+        let s = space();
+        let mut memo = WordVectors::new(&s);
+        let phrases = ["film director", "2006 film", "film", "", "qzxjv 2006 film director", "2006"];
+        // Twice over, so the second pass reads every word from the memo.
+        for text in phrases.iter().chain(&phrases) {
+            let tokens = crate::tokenize(text);
+            let want = bits(&s.phrase_vector(&tokens));
+            assert_eq!(bits(&memo.phrase_vector(tokens)), want, "{text}");
         }
     }
 

@@ -23,7 +23,7 @@ pub mod tokenize;
 
 pub use deptree::DepTree;
 pub use distance::{edit_distance, edit_similarity, normalized_edit_distance, token_jaccard};
-pub use embedding::EmbeddingSpace;
+pub use embedding::{EmbeddingSpace, WordVectors};
 pub use lexicon::Lexicon;
 pub use stopwords::{is_stop_word, span_has_stop_word, STOP_WORDS};
 pub use tokenize::{detokenize, special, tokenize, CharVocab, Vocab};
