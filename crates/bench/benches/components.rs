@@ -20,8 +20,9 @@ use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
 use nlidb_core::vocab::build_input_vocab;
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::stream::{write_corpus, CorpusReader};
-use nlidb_data::wikisql::{gen_table, generate, WikiSqlConfig};
-use nlidb_data::{CorpusPlan, ShardedCorpusConfig};
+use nlidb_data::question::realize_question;
+use nlidb_data::wikisql::{gen_query, gen_table, generate, WikiSqlConfig};
+use nlidb_data::{CorpusPlan, NoiseConfig, ShardedCorpusConfig};
 use nlidb_json::json;
 use nlidb_sqlir::{canonicalize, parse_sql, query_match};
 use nlidb_storage::{execute, Table, TableStats, Value};
@@ -445,7 +446,10 @@ fn bench_pipeline(records: &mut Vec<Record>) {
 /// shows the per-table context amortization and within-batch dedup;
 /// `batch_64_warm` serves the whole batch out of a warmed cache. Here we
 /// just record the numbers; `tests/end_to_end.rs` pins that a warmed
-/// cache answers a repeated batch entirely from hits.
+/// cache answers a repeated batch entirely from hits. The pairs after
+/// them are gated: two misses on two tables in one fan-out against one
+/// after the other, and misses on a large table with its statistics
+/// resident against the same misses through fresh engines.
 fn bench_serve(records: &mut Vec<Record>) {
     let mut gen_cfg = WikiSqlConfig::tiny(7);
     gen_cfg.questions_per_table = 4;
@@ -501,6 +505,45 @@ fn bench_serve(records: &mut Vec<Record>) {
         || serve_at(1),
     );
     pool::set_threads(pool::default_threads());
+
+    // Two distinct questions on the 1,500-row table of the table-context
+    // rows, each served alone: through one engine whose cache already
+    // holds the table's statistics, and through a fresh engine per
+    // question, which computes them. A cache of one prediction makes
+    // every serve on both sides a miss.
+    let large = gen_table("bench_1500", &mut Rng::seed_from_u64(0x1500), (1500, 1500));
+    let names = large.table.column_names();
+    let mut rng = Rng::seed_from_u64(0x1501);
+    let mut questions: Vec<Vec<String>> = Vec::new();
+    while questions.len() < 2 {
+        let query = gen_query(&large, 0.15, &mut rng);
+        let noise = NoiseConfig::default();
+        let (question, _) = realize_question(&large.archetypes, &names, &query, &noise, &mut rng);
+        if !questions.contains(&question) {
+            questions.push(question);
+        }
+    }
+    let asks: Vec<[ServeRequest<'_>; 1]> = questions
+        .iter()
+        .map(|q| [ServeRequest { question: q, table: &large.table, guided: false }])
+        .collect();
+    let mut resident = ServeEngine::with_cache(&nlidb, PredictionCache::new(1));
+    resident.serve(&asks[1]);
+    bench_pair(
+        ["serve/miss_1500_resident_stats", "serve/miss_1500_fresh_engine"],
+        records,
+        || {
+            for ask in &asks {
+                black_box(resident.serve(black_box(ask)));
+            }
+        },
+        || {
+            for ask in &asks {
+                let mut fresh = ServeEngine::with_cache(&nlidb, PredictionCache::new(1));
+                black_box(fresh.serve(black_box(ask)));
+            }
+        },
+    );
 }
 
 /// The TCP serving layer end to end: one `ask` round trip over loopback

@@ -158,13 +158,15 @@ impl MentionDetector {
 
     /// Builds the reusable per-table detection context (see
     /// [`DetectContext`]). Pure in the table and the embedding space.
-    pub fn table_context(&self, table: &Table) -> DetectContext {
+    /// `stats` are the table's statistics if the caller already holds
+    /// them, computed in this detector's space; `None` computes them.
+    pub fn table_context(&self, table: &Table, stats: Option<TableStats>) -> DetectContext {
         let names = table.column_names();
         let name_tokens = names.iter().map(|n| nlidb_text::tokenize(n)).collect();
         DetectContext {
             names,
             name_tokens,
-            stats: TableStats::compute(table, &self.space),
+            stats: stats.unwrap_or_else(|| TableStats::compute(table, &self.space)),
             value_index: ValueIndex::build(table),
         }
     }
@@ -235,7 +237,7 @@ impl MentionDetector {
     /// Runs the full detection + resolution, returning slots in
     /// appearance order (capped at the configured slot budget).
     pub fn detect(&self, question: &[String], table: &Table) -> Vec<DetectedSlot> {
-        self.detect_in(question, &self.table_context(table))
+        self.detect_in(question, &self.table_context(table, None))
     }
 
     /// [`Self::detect`] against a prebuilt [`DetectContext`] — the batched
@@ -368,7 +370,7 @@ mod tests {
         let (det, ds) = trained();
         let mut semantic = 0;
         for e in ds.dev.iter().chain(&ds.test) {
-            let ctx = det.table_context(&e.table);
+            let ctx = det.table_context(&e.table, None);
             let q = &e.question;
             let mut expected = context_free_matches(
                 q,

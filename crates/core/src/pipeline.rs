@@ -10,7 +10,7 @@ use nlidb_data::stream::{ExampleSource, StreamError};
 use nlidb_data::{Dataset, Example};
 use nlidb_json::{FromJson, Json, JsonError, ToJson};
 use nlidb_sqlir::{recover, AnnotatedSql, AnnotationMap, Query};
-use nlidb_storage::Table;
+use nlidb_storage::{Table, TableStats};
 use nlidb_tensor::Rng;
 use nlidb_text::{EmbeddingSpace, Lexicon, Vocab};
 
@@ -213,14 +213,21 @@ impl Nlidb {
     /// ([`crate::serve`]) builds one context per distinct table and
     /// amortizes it across every question in the batch.
     pub fn table_context(&self, table: &Table) -> TableContext {
-        self.context_with_fingerprint(table, table.fingerprint())
+        self.context_with_fingerprint(table, table.fingerprint(), None)
     }
 
     /// [`Self::table_context`] for a caller that already holds the
-    /// table's [`Table::fingerprint`], so the cells are not hashed again.
-    pub(crate) fn context_with_fingerprint(&self, table: &Table, fingerprint: u64) -> TableContext {
+    /// table's [`Table::fingerprint`], so the cells are not hashed again,
+    /// and perhaps its statistics, computed under this model (see
+    /// [`MentionDetector::table_context`](crate::mention::MentionDetector::table_context)).
+    pub(crate) fn context_with_fingerprint(
+        &self,
+        table: &Table,
+        fingerprint: u64,
+        stats: Option<TableStats>,
+    ) -> TableContext {
         let _t = nlidb_trace::span("pipeline.table_context");
-        TableContext { fingerprint, detect: self.detector.table_context(table) }
+        TableContext { fingerprint, detect: self.detector.table_context(table, stats) }
     }
 
     /// Runs annotation (step 1) on a question/table pair.

@@ -18,15 +18,20 @@
 //!    repeats across batches, and duplicates *within* a batch are
 //!    deduplicated to one computation regardless of cache settings.
 //! 3. **Fan out, a wave at a time.** The groups left with misses are
-//!    taken in waves of `pool::num_threads()` groups. A wave builds its
-//!    groups' contexts across the pool, one task per group, once for all
-//!    of a group's misses. Then every distinct miss of the wave, whatever
-//!    its table, runs the pipeline's one inference body (annotate →
-//!    decode → commit, the commit being the repair walk for guided
-//!    requests) in one pool fan-out, each writing to its own slot. The
-//!    wave's contexts are dropped before the next wave starts, so a
-//!    batch never holds more live contexts than the pool has threads,
-//!    and two questions on two tables keep two threads busy.
+//!    taken in waves of `pool::num_threads()` groups. On the calling
+//!    thread, the wave takes each table's §II statistics from the cache
+//!    if an earlier miss computed them
+//!    ([`PredictionCache::resident_stats`]). Then it builds its groups'
+//!    contexts across the pool, one task per group, once for all of a
+//!    group's misses; a context computes its statistics only when none
+//!    were resident. Then every distinct miss of the wave, whatever its
+//!    table, runs the pipeline's one inference body (annotate → decode →
+//!    commit, the commit being the repair walk for guided requests) in
+//!    one pool fan-out, each writing to its own slot. Last, on the
+//!    calling thread, the cache keeps the statistics the wave computed,
+//!    and the wave's contexts are dropped before the next wave starts,
+//!    so a batch never holds more live contexts than the pool has
+//!    threads, and two questions on two tables keep two threads busy.
 //! 4. **Publish.** On the calling thread, group by group and question by
 //!    question, each answer goes to every request waiting on it and into
 //!    the cache. Results are returned in request order.
@@ -46,8 +51,9 @@
 //! The argument:
 //!
 //! - the per-table context is a pure function of the table, so sharing
-//!   one context across a group, or building a wave's contexts on
-//!   different threads, changes *when* and *where* state is computed,
+//!   one context across a group, building a wave's contexts on
+//!   different threads, or taking a context's statistics from an
+//!   earlier micro-batch changes *when* and *where* state is computed,
 //!   never *what* is computed;
 //! - per-request predictions are independent pure functions of
 //!   `(question, context, trained parameters)` written to disjoint
@@ -55,7 +61,9 @@
 //! - every cache operation happens on the calling thread, *outside* the
 //!   parallel sections, in one fixed order: all of a batch's lookups
 //!   (group order, then request order) before all of its insertions
-//!   (group order, then question order). Hits, misses, insertions,
+//!   (group order, then question order). Resident statistics are read
+//!   before a wave's fan-outs and kept after them, in group order, and
+//!   touch no prediction entry or counter. Hits, misses, insertions,
 //!   evictions and the per-table counts are therefore functions of the
 //!   request stream and the batch boundaries alone, at any pool width.
 //!   Because lookups come first, a later group's lookup can hit an entry
@@ -70,12 +78,13 @@
 //! each group's lookups; `serve.context` and `serve.predict` per pool
 //! task) and counters (`serve.requests`, `serve.groups`, `serve.dedup`,
 //! `serve.cache.hits`, `serve.cache.misses`, `serve.cache.insertions`,
-//! `serve.cache.evictions`).
+//! `serve.cache.evictions`, and `serve.stats.computed` /
+//! `serve.stats.resident` per context built).
 
 use std::collections::BTreeMap;
 
 use nlidb_sqlir::Query;
-use nlidb_storage::Table;
+use nlidb_storage::{Table, TableStats};
 use nlidb_tensor::pool;
 
 use crate::pipeline::{Nlidb, TableContext};
@@ -142,6 +151,12 @@ pub struct CacheTableStats {
 /// is also attributed to the key's table fingerprint
 /// ([`PredictionCache::table_stats`]), so a server fronting many tenants
 /// can report and act on per-tenant cache behavior.
+///
+/// Beside those counters the cache keeps each served table's §II
+/// statistics ([`PredictionCache::resident_stats`]): one small record per
+/// fingerprint, computed on the table's first miss and reused by every
+/// later one. Like the predictions, they are functions of the table and
+/// the model, so they live exactly as long as the cache does.
 #[derive(Debug, Default)]
 pub struct PredictionCache {
     capacity: usize,
@@ -153,12 +168,13 @@ pub struct PredictionCache {
     insertions: u64,
     evictions: u64,
     per_table: BTreeMap<u64, CacheTableStats>,
+    resident: BTreeMap<u64, TableStats>,
 }
 
 impl PredictionCache {
     /// Creates a cache holding at most `capacity` predictions; `0`
-    /// disables caching entirely (within-batch deduplication still
-    /// applies).
+    /// disables caching entirely, resident statistics included
+    /// (within-batch deduplication still applies).
     pub fn new(capacity: usize) -> PredictionCache {
         PredictionCache { capacity, ..PredictionCache::default() }
     }
@@ -220,6 +236,21 @@ impl PredictionCache {
         &self.per_table
     }
 
+    /// The §II statistics kept for a table fingerprint: those a served
+    /// miss computed under this cache's model. `None` before the table's
+    /// first miss, and always for a disabled cache.
+    pub fn resident_stats(&self, fingerprint: u64) -> Option<&TableStats> {
+        self.resident.get(&fingerprint)
+    }
+
+    /// Keeps a table's statistics unless some are already kept. A no-op
+    /// when the cache is disabled.
+    fn keep_stats(&mut self, fingerprint: u64, stats: TableStats) {
+        if self.enabled() {
+            self.resident.entry(fingerprint).or_insert(stats);
+        }
+    }
+
     /// Looks up a prediction, counting the hit or miss (globally and
     /// against the key's table fingerprint). Disabled caches see neither
     /// lookups nor counters.
@@ -278,7 +309,8 @@ impl PredictionCache {
 struct Group<'a> {
     table: &'a Table,
     /// The table's content fingerprint, hashed once during grouping: the
-    /// cache-key component, and the fingerprint of the group's context.
+    /// cache-key component, the key of the table's resident statistics,
+    /// and the fingerprint of the group's context.
     fingerprint: u64,
     /// Request indices into the batch, ascending.
     indices: Vec<usize>,
@@ -304,8 +336,9 @@ impl<'m> ServeEngine<'m> {
     ///
     /// The cache must only be reused with the **same trained parameters**
     /// it was filled under: entries map `(table, question)` to the
-    /// model's prediction, so swapping models invalidates every entry
-    /// (start from a fresh `PredictionCache` after a checkpoint swap).
+    /// model's prediction and resident statistics live in the model's
+    /// embedding space, so swapping models invalidates both (start from a
+    /// fresh `PredictionCache` after a checkpoint swap).
     pub fn with_cache(nlidb: &'m Nlidb, cache: PredictionCache) -> ServeEngine<'m> {
         ServeEngine { nlidb, cache }
     }
@@ -426,22 +459,40 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Answers every miss of one wave of groups: the wave's contexts are
-    /// built across the pool (one task per group), then all of its misses
-    /// run in one fan-out. Returns one slot per miss, in group order then
-    /// question order; the contexts are dropped on return.
+    /// built across the pool (one task per group) from the statistics the
+    /// cache holds, then all of its misses run in one fan-out, then the
+    /// cache keeps the statistics the wave computed. Returns one slot per
+    /// miss, in group order then question order; the contexts are dropped
+    /// on return.
     fn answer_wave(
-        &self,
+        &mut self,
         requests: &[ServeRequest<'_>],
         wave: &[&Group<'_>],
     ) -> Vec<Option<Option<Query>>> {
         let nlidb = self.nlidb;
         // Each context is pure in its table, so building it once per group,
-        // on whichever thread, cannot change any prediction.
-        let mut contexts: Vec<Option<TableContext>> = wave.iter().map(|_| None).collect();
+        // on whichever thread, from statistics computed in an earlier
+        // micro-batch or not, cannot change any prediction.
+        let mut contexts: Vec<(Option<TableStats>, Option<TableContext>)> = wave
+            .iter()
+            .map(|group| {
+                let stats = self.cache.resident_stats(group.fingerprint).cloned();
+                let counter = match stats {
+                    Some(_) => "serve.stats.resident",
+                    None => "serve.stats.computed",
+                };
+                nlidb_trace::count(counter, 1);
+                (stats, None)
+            })
+            .collect();
         pool::parallel_for_chunks(&mut contexts, 1, |w, slot| {
             let _c = nlidb_trace::span("serve.context");
-            if let (Some(out), Some(group)) = (slot.first_mut(), wave.get(w)) {
-                *out = Some(nlidb.context_with_fingerprint(group.table, group.fingerprint));
+            if let (Some((stats, out)), Some(group)) = (slot.first_mut(), wave.get(w)) {
+                *out = Some(nlidb.context_with_fingerprint(
+                    group.table,
+                    group.fingerprint,
+                    stats.take(),
+                ));
             }
         });
 
@@ -460,12 +511,20 @@ impl<'m> ServeEngine<'m> {
         pool::parallel_for_chunks(&mut computed, 1, |j, slot| {
             let _t = nlidb_trace::span("serve.predict");
             let job = jobs.get(j).and_then(|&(w, first)| {
-                Some((wave.get(w)?, contexts.get(w)?.as_ref()?, requests.get(first?)?))
+                Some((wave.get(w)?, contexts.get(w)?.1.as_ref()?, requests.get(first?)?))
             });
             if let (Some(out), Some((group, ctx, req))) = (slot.first_mut(), job) {
                 *out = Some(nlidb.answer(req.question, ctx, req.guided.then_some(group.table)));
             }
         });
+
+        // Calling thread, group order: a context built from resident
+        // statistics hands back the same record, which `keep_stats` skips.
+        for (group, (_, ctx)) in wave.iter().zip(contexts) {
+            if let Some(ctx) = ctx {
+                self.cache.keep_stats(group.fingerprint, ctx.detect.stats);
+            }
+        }
         computed
     }
 }

@@ -8,11 +8,15 @@
 //! rendering (every field, every float), and equality of the emitted
 //! SQL text.
 
+use std::sync::Arc;
+
 use nlidb_core::serve::{PredictionCache, ServeEngine, ServeRequest};
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
-use nlidb_data::wikisql::{generate, WikiSqlConfig};
+use nlidb_data::question::{realize_question, NoiseConfig};
+use nlidb_data::wikisql::{gen_query, gen_table, generate, WikiSqlConfig};
 use nlidb_sqlir::Query;
-use nlidb_tensor::pool;
+use nlidb_storage::{Table, TableStats};
+use nlidb_tensor::{pool, Rng};
 
 /// Serializes tests that flip the global pool size or trace switch.
 fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -236,4 +240,70 @@ fn misses_on_different_tables_share_one_pool_fan_out() {
     assert_eq!(cold_counters, [2, 4, 0], "pool.jobs, pool.tasks, pool.serial_tasks");
     // A fully cached batch builds no context and enqueues nothing.
     assert_eq!(warm_counters, [0, 0, 0], "a cached batch reached the pool");
+}
+
+/// A generated table of 1,000–1,200 rows and `n` distinct questions on it.
+fn large_table_questions(seed: u64, n: usize) -> (Arc<Table>, Vec<Vec<String>>) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let gt = gen_table("large", &mut rng, (1000, 1200));
+    let names = gt.table.column_names();
+    let mut questions: Vec<Vec<String>> = Vec::new();
+    while questions.len() < n {
+        let query = gen_query(&gt, 0.15, &mut rng);
+        let noise = NoiseConfig::default();
+        let (question, _) = realize_question(&gt.archetypes, &names, &query, &noise, &mut rng);
+        if !questions.contains(&question) {
+            questions.push(question);
+        }
+    }
+    (gt.table, questions)
+}
+
+#[test]
+fn table_stats_are_computed_once_per_table_across_micro_batches() {
+    let _guard = pool_lock();
+    let (nlidb, _) = tiny_system(3005);
+    let (table, questions) = large_table_questions(0x1000, 4);
+    let fp = table.fingerprint();
+    let request =
+        |i: usize| ServeRequest { question: &questions[i], table: &table, guided: i == 3 };
+    let batches = [[request(0), request(1)], [request(2), request(3)]];
+    let sequential: Vec<Option<Query>> = (0..4)
+        .map(|i| match i == 3 {
+            true => nlidb.predict_guided(&questions[i], &table),
+            false => nlidb.predict(&questions[i], &table),
+        })
+        .collect();
+    let computed = TableStats::compute(&table, nlidb.detector.space());
+
+    for threads in [1, 2] {
+        pool::set_threads(threads);
+        for capacity in [64, 0] {
+            nlidb_trace::reset();
+            nlidb_trace::set_enabled(true);
+            // The server's pattern: one engine per micro-batch, the cache
+            // handed from one to the next.
+            let mut cache = PredictionCache::new(capacity);
+            let mut answers = Vec::new();
+            for batch in &batches {
+                let mut engine = ServeEngine::with_cache(&nlidb, cache);
+                answers.extend(engine.serve(batch));
+                cache = engine.into_cache();
+            }
+            let counts = ["serve.stats.computed", "serve.stats.resident"].map(nlidb_trace::counter);
+            nlidb_trace::set_enabled(false);
+            nlidb_trace::reset();
+
+            let at = format!("threads={threads} capacity={capacity}");
+            assert_eq!(answers, sequential, "{at}: answers diverged from sequential predict");
+            if capacity == 0 {
+                assert_eq!(counts, [2, 0], "{at}: a disabled cache recomputes every time");
+                assert_eq!(cache.resident_stats(fp), None, "{at}");
+            } else {
+                assert_eq!(counts, [1, 1], "{at}: computed, resident");
+                assert_eq!(cache.resident_stats(fp), Some(&computed), "{at}");
+            }
+        }
+    }
+    pool::set_threads(pool::default_threads());
 }

@@ -148,10 +148,18 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
+/// Decodes into exactly `items.len()` slots. Collecting through `Result`
+/// cannot size the vector up front, so it grows by doubling and leaves up
+/// to twice the length in capacity; a decoded table would keep that slack
+/// in every column for as long as it is registered.
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         let items = j.as_arr().ok_or(()).or_else(|_| j.type_err("array"))?;
-        items.iter().map(T::from_json).collect()
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(T::from_json(item)?);
+        }
+        Ok(out)
     }
 }
 
@@ -234,6 +242,15 @@ mod tests {
         assert_eq!(String::from_json(&"x".to_json()).unwrap(), "x");
         assert!(usize::from_json(&Json::Int(-1)).is_err());
         assert!(bool::from_json(&Json::Int(0)).is_err());
+    }
+
+    #[test]
+    fn decoded_vectors_sit_at_exact_capacity() {
+        let items: Vec<i64> = (0..1500).collect();
+        let decoded = Vec::<i64>::from_json(&items.to_json()).unwrap();
+        assert_eq!(decoded, items);
+        assert_eq!(decoded.capacity(), 1500);
+        assert_eq!(Vec::<i64>::from_json(&Json::Arr(Vec::new())).unwrap().capacity(), 0);
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! `swap_checkpoint` runs between batches like any control job: jobs
 //! dequeued before it are answered by the old model, jobs after by the
 //! new one, and nothing in flight is dropped. A successful swap resets
-//! the prediction cache (entries are functions of the model). A failed
-//! load leaves model *and* cache untouched and reports
-//! `checkpoint_failed`.
+//! the prediction cache (entries are functions of the model), and with
+//! it the resident table statistics, which live in the old model's
+//! embedding space. A failed load leaves model *and* cache untouched and
+//! reports `checkpoint_failed`.
 
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -305,8 +306,9 @@ impl Engine {
                 let result = match Nlidb::load(&path) {
                     Ok(model) => {
                         self.nlidb = model;
-                        // Cached predictions are functions of the old
-                        // model; a stale hit would break determinism.
+                        // Cached predictions and resident statistics are
+                        // functions of the old model; a stale hit would
+                        // break determinism.
                         self.cache = PredictionCache::new(self.cfg.cache_capacity);
                         self.swaps += 1;
                         nlidb_trace::count("server.swaps", 1);
@@ -374,5 +376,93 @@ impl Engine {
             },
             cache_len: self.cache.len() as u64,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    use nlidb_core::{ModelConfig, NlidbOptions};
+    use nlidb_data::wikisql::{generate, WikiSqlConfig};
+    use nlidb_data::Dataset;
+    use nlidb_sqlir::Query;
+
+    use crate::admission::AdmissionConfig;
+
+    fn trained(seed: u64, word_dim: usize) -> (Nlidb, Dataset) {
+        let mut gen_cfg = WikiSqlConfig::tiny(seed);
+        gen_cfg.train_tables = 4;
+        gen_cfg.questions_per_table = 4;
+        let ds = generate(&gen_cfg);
+        let model = ModelConfig { word_dim, ..ModelConfig::tiny() };
+        (Nlidb::train(&ds, NlidbOptions { model, ..NlidbOptions::default() }), ds)
+    }
+
+    /// Runs one job through the engine's control path and returns its reply.
+    fn run(engine: &mut Engine, job: impl FnOnce(ReplyTx) -> Job) -> Result<Reply, WireError> {
+        let (tx, rx) = mpsc::channel();
+        engine.handle_control(job(tx));
+        rx.recv().unwrap_or_else(|_| Err(WireError::new(ErrorCode::Internal, "no reply")))
+    }
+
+    fn ask(engine: &mut Engine, fingerprint: u64, question: &[String]) -> Option<Query> {
+        let permit = engine.admission.try_admit("t", 1).expect("admitted");
+        let item = AskItem { fingerprint, question: question.to_vec(), guided: false };
+        let job = |reply| {
+            Job::Serve(ServeJob {
+                tenant: "t".into(),
+                items: vec![item],
+                wrap_batch: false,
+                reply,
+                permit,
+            })
+        };
+        match run(engine, job) {
+            Ok(Reply::Answer(answer)) => answer.query,
+            other => panic!("ask failed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_swap_drops_resident_table_stats_and_a_failed_swap_keeps_them() {
+        let tiny_dim = ModelConfig::tiny().word_dim;
+        let (old, ds) = trained(9101, tiny_dim);
+        let (new, _) = trained(9102, tiny_dim + 4);
+        let dir = std::env::temp_dir().join(format!("nlidb-engine-swap-{}", std::process::id()));
+        new.save(&dir).expect("save the swap target");
+        let e = &ds.dev[0];
+        let table = (*e.table).clone();
+
+        let cfg =
+            EngineConfig { max_batch_questions: 8, linger: Duration::ZERO, cache_capacity: 64 };
+        let admission = Arc::new(Admission::new(AdmissionConfig::default()));
+        let mut engine = Engine::new(old, admission, Arc::new(AtomicU64::new(0)), cfg);
+        let register = |reply| Job::Register { tenant: "t".into(), table: table.clone(), reply };
+        let fp = match run(&mut engine, register) {
+            Ok(Reply::Registered { fingerprint }) => fingerprint,
+            other => panic!("register failed: {other:?}"),
+        };
+        ask(&mut engine, fp, &e.question);
+        let kept = engine.cache.resident_stats(fp).cloned().expect("the miss kept its stats");
+
+        let missing = dir.join("missing").display().to_string();
+        let failed = run(&mut engine, |reply| Job::Swap { path: missing, reply });
+        assert!(matches!(failed, Err(WireError { code: ErrorCode::CheckpointFailed, .. })));
+        assert_eq!(engine.cache.resident_stats(fp), Some(&kept), "a failed swap keeps them");
+
+        let path = dir.display().to_string();
+        let swapped = run(&mut engine, |reply| Job::Swap { path, reply });
+        assert!(matches!(swapped, Ok(Reply::Swapped { .. })), "{swapped:?}");
+        assert_eq!(engine.cache.resident_stats(fp), None, "a swap drops them");
+
+        let reloaded = Nlidb::load(&dir).expect("reload the swap target");
+        assert_eq!(ask(&mut engine, fp, &e.question), reloaded.predict(&e.question, &table));
+        let recomputed = nlidb_storage::TableStats::compute(&table, reloaded.detector.space());
+        assert_eq!(engine.cache.resident_stats(fp), Some(&recomputed));
+        let dims = |s: &nlidb_storage::TableStats| s.columns.first().map(|c| c.centroid.len());
+        assert_ne!(dims(&kept), dims(&recomputed), "the two models embed in different spaces");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -146,8 +146,10 @@ impl Literal {
     }
 }
 
-/// Lowercases and splits punctuation into space-separated tokens.
-pub(crate) fn canonical_tokens(text: &str) -> String {
+/// Lowercases and splits punctuation into space-separated tokens: the
+/// canonical text of `Literal::Text(text)`, for callers that hold a
+/// `&str` and would otherwise clone it into a literal.
+pub fn canonical_tokens(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut prev_space = true;
     for ch in text.trim().chars() {

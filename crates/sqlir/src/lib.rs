@@ -21,6 +21,6 @@ pub mod canonical;
 pub mod parser;
 
 pub use annotated::{annotate_query, recover, AnnTok, AnnotatedSql, AnnotationMap, RecoverError, Slot};
-pub use ast::{Agg, CmpOp, Cond, Literal, Query};
+pub use ast::{canonical_tokens, Agg, CmpOp, Cond, Literal, Query};
 pub use canonical::{canonicalize, logical_form_match, query_match, CanonicalQuery};
 pub use parser::{parse_sql, ParseError};

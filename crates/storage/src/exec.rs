@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use nlidb_sqlir::{Agg, CmpOp, Query};
 
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{PreparedLiteral, Value};
 
 /// The result of executing a query: a bag of values (single projected
 /// column, or a single aggregate value).
@@ -87,8 +87,8 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-fn matches(cell: &Value, op: CmpOp, lit: &nlidb_sqlir::Literal) -> bool {
-    match cell.compare(lit) {
+fn matches(cell: &Value, op: CmpOp, lit: &PreparedLiteral) -> bool {
+    match lit.compare(cell) {
         None => false,
         Some(ord) => match op {
             CmpOp::Eq => ord == Ordering::Equal,
@@ -108,6 +108,10 @@ fn matches(cell: &Value, op: CmpOp, lit: &nlidb_sqlir::Literal) -> bool {
 /// selection aggregates to `NULL`, never an error), and numeric
 /// aggregates refuse NaN inputs ([`ExecError::NanInAggregate`]) rather
 /// than silently dropping them.
+///
+/// Each condition's literal is prepared once per query
+/// ([`PreparedLiteral`]), and the scan reads whole columns, so a row costs
+/// only its cells' side of [`Value::compare`].
 pub fn execute(table: &Table, query: &Query) -> Result<ResultSet, ExecError> {
     let _t = nlidb_trace::span("storage.execute");
     let ncols = table.num_cols();
@@ -119,16 +123,22 @@ pub fn execute(table: &Table, query: &Query) -> Result<ResultSet, ExecError> {
             return Err(ExecError::BadColumn(c.col));
         }
     }
+    let conds: Vec<(&[Value], CmpOp, PreparedLiteral)> = query
+        .conds
+        .iter()
+        .map(|c| (table.column_values(c.col), c.op, PreparedLiteral::new(&c.value)))
+        .collect();
     let mut selected: Vec<&Value> = Vec::new();
     let mut conds_evaluated: u64 = 0;
-    'rows: for r in 0..table.num_rows() {
-        for c in &query.conds {
+    'rows: for (r, cell) in table.column_values(query.select_col).iter().enumerate() {
+        for (column, op, lit) in &conds {
             conds_evaluated += 1;
-            if !matches(table.cell(r, c.col), c.op, &c.value) {
-                continue 'rows;
+            match column.get(r) {
+                Some(v) if matches(v, *op, lit) => {}
+                _ => continue 'rows,
             }
         }
-        selected.push(table.cell(r, query.select_col));
+        selected.push(cell);
     }
     if nlidb_trace::enabled() {
         nlidb_trace::count("storage.queries", 1);

@@ -23,4 +23,4 @@ pub use exec::{execute, execution_match, ExecError, ResultSet};
 pub use schema::{Column, DataType, Schema};
 pub use stats::{ColumnStats, TableStats};
 pub use table::Table;
-pub use value::{CellKey, Value};
+pub use value::{CellKey, PreparedLiteral, Value};

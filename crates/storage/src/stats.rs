@@ -32,7 +32,7 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Computes statistics for one column of a table.
     pub fn compute(table: &Table, col: usize, space: &EmbeddingSpace) -> ColumnStats {
-        DistinctCells::new(space).column(table.column_values(col))
+        DistinctCells::new(space).column_stats(table.column_values(col))
     }
 }
 
@@ -94,7 +94,7 @@ impl<'t, 's> DistinctCells<'t, 's> {
         })
     }
 
-    fn column(&mut self, cells: &'t [Value]) -> ColumnStats {
+    fn column_stats(&mut self, cells: &'t [Value]) -> ColumnStats {
         self.columns += 1;
         let column = self.columns;
         let mut centroid = vec![0.0f32; self.dim];
@@ -156,7 +156,9 @@ impl TableStats {
     pub fn compute(table: &Table, space: &EmbeddingSpace) -> TableStats {
         let mut pass = DistinctCells::new(space);
         TableStats {
-            columns: (0..table.num_cols()).map(|c| pass.column(table.column_values(c))).collect(),
+            columns: (0..table.num_cols())
+                .map(|c| pass.column_stats(table.column_values(c)))
+                .collect(),
         }
     }
 }

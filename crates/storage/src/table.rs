@@ -70,9 +70,10 @@ impl Table {
         &self.columns[col][row]
     }
 
-    /// All values of one column.
+    /// All values of one column, row order; empty for a column outside
+    /// the schema.
     pub fn column_values(&self, col: usize) -> &[Value] {
-        &self.columns[col]
+        self.columns.get(col).map_or(&[], Vec::as_slice)
     }
 
     /// Iterates rows as vectors of references.
@@ -96,8 +97,7 @@ impl Table {
         let mut h = Fnv1a::new();
         h.write_str(&self.name);
         h.write_usize(self.schema.len());
-        for i in 0..self.schema.len() {
-            let col = self.schema.column(i);
+        for col in self.schema.columns() {
             h.write_str(&col.name);
             h.write_u8(match col.dtype {
                 DataType::Text => 0,
@@ -264,6 +264,29 @@ mod tests {
         let mut t = film_table();
         t.push_row(vec![Value::Null, Value::Null, Value::Null]);
         assert_eq!(t.num_rows(), 3);
+    }
+
+    #[test]
+    fn out_of_range_column_reads_empty() {
+        assert!(film_table().column_values(3).is_empty());
+    }
+
+    #[test]
+    fn decoded_columns_sit_at_exact_capacity() {
+        let schema = Schema::new(vec![
+            Column::new("Name", DataType::Text),
+            Column::new("Year", DataType::Int),
+        ]);
+        let mut t = Table::new("t", schema);
+        for r in 0..1500 {
+            t.push_row(vec![Value::Text(format!("row {r}")), Value::Int(r)]);
+        }
+        let decoded = Table::from_json(&t.to_json()).unwrap();
+        assert_eq!(decoded, t);
+        assert_eq!(decoded.columns.capacity(), 2);
+        for col in &decoded.columns {
+            assert_eq!(col.capacity(), decoded.num_rows());
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Cell values and literal comparison semantics.
 
 use nlidb_json::{FromJson, Json, JsonError, ToJson};
-use nlidb_sqlir::Literal;
+use nlidb_sqlir::{canonical_tokens, Literal};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A single table cell.
@@ -59,7 +60,7 @@ impl Value {
     /// identically (punctuation re-tokenized, lowercased).
     pub fn canonical_text(&self) -> String {
         match self {
-            Value::Text(t) => Literal::Text(t.clone()).canonical_text(),
+            Value::Text(t) => canonical_tokens(t),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => {
                 if f.fract() == 0.0 && f.abs() < 1e15 {
@@ -75,7 +76,7 @@ impl Value {
     /// Compares this cell against a SQL literal with the given operator
     /// semantics: numeric when both sides are numeric, else canonical-text
     /// (ordering on text is lexicographic). `Null` matches nothing.
-    pub fn compare(&self, lit: &Literal) -> Option<std::cmp::Ordering> {
+    pub fn compare(&self, lit: &Literal) -> Option<Ordering> {
         if matches!(self, Value::Null) {
             return None;
         }
@@ -83,6 +84,33 @@ impl Value {
             return a.partial_cmp(&b);
         }
         Some(self.canonical_text().cmp(&lit.canonical_text()))
+    }
+}
+
+/// A SQL literal with its number and canonical text derived once, so a
+/// scan that compares many cells against it (`execute`) does the
+/// literal's half of [`Value::compare`] once per query, not once per row.
+#[derive(Debug, Clone)]
+pub struct PreparedLiteral {
+    number: Option<f64>,
+    text: String,
+}
+
+impl PreparedLiteral {
+    /// Derives `lit`'s comparison keys.
+    pub fn new(lit: &Literal) -> PreparedLiteral {
+        PreparedLiteral { number: lit.as_number(), text: lit.canonical_text() }
+    }
+
+    /// `cell.compare(lit)` for the literal this was prepared from.
+    pub fn compare(&self, cell: &Value) -> Option<Ordering> {
+        if matches!(cell, Value::Null) {
+            return None;
+        }
+        if let (Some(a), Some(b)) = (cell.as_number(), self.number) {
+            return a.partial_cmp(&b);
+        }
+        Some(cell.canonical_text().cmp(&self.text))
     }
 }
 
@@ -129,7 +157,6 @@ impl FromJson for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Ordering;
 
     #[test]
     fn numeric_comparison_crosses_types() {

@@ -6,7 +6,7 @@
 
 use nlidb_sqlir::{Agg, CmpOp, Literal, Query};
 use nlidb_storage::{
-    execute, render_table, table_from_csv, Column, DataType, Schema, Table, Value,
+    execute, render_table, table_from_csv, Column, DataType, PreparedLiteral, Schema, Table, Value,
 };
 use nlidb_tensor::Rng;
 
@@ -142,5 +142,85 @@ fn render_never_panics() {
         let max_rows = rng.gen_range(0usize..10);
         let s = render_table(&table, max_rows);
         assert!(s.contains("C0"), "case {case}");
+    }
+}
+
+/// Texts and numbers on every branch of `Value::compare`: case and
+/// spacing variants, numeric text, `-0.0` beside `0.0`, and NaN.
+const TEXTS: [&str; 12] =
+    ["Mayo", "mayo", " MAYO ", "5", " 5 ", "5.0", "-0.0", "0", "NaN", "nan", "64%", ""];
+const NUMBERS: [f64; 6] = [0.0, -0.0, f64::NAN, 2.5, 5.0, -3.0];
+
+fn arb_literal(rng: &mut Rng) -> Literal {
+    if rng.gen_bool(0.5) {
+        Literal::Number(NUMBERS[rng.gen_range(0..NUMBERS.len())])
+    } else {
+        Literal::Text(TEXTS[rng.gen_range(0..TEXTS.len())].to_string())
+    }
+}
+
+/// A cell for a `Float` column (numbers, numeric text, Null) or, when
+/// `text`, a `Text` column (any of [`TEXTS`], Null).
+fn arb_cell(rng: &mut Rng, text: bool) -> Value {
+    let numeric_text: Vec<&str> =
+        TEXTS.iter().copied().filter(|t| t.trim().parse::<f64>().is_ok()).collect();
+    match rng.gen_range(0usize..4) {
+        0 => Value::Null,
+        _ if text => Value::Text(TEXTS[rng.gen_range(0..TEXTS.len())].to_string()),
+        1 => Value::Int(rng.gen_range(-3i64..6)),
+        2 => Value::Float(NUMBERS[rng.gen_range(0..NUMBERS.len())]),
+        _ => Value::Text(numeric_text[rng.gen_range(0..numeric_text.len())].to_string()),
+    }
+}
+
+#[test]
+fn prepared_literals_compare_like_value_compare() {
+    for case in 0..CASES {
+        let mut rng = case_rng(4, case);
+        let lit = arb_literal(&mut rng);
+        let prepared = PreparedLiteral::new(&lit);
+        for _ in 0..24 {
+            let text = rng.gen_bool(0.5);
+            let cell = arb_cell(&mut rng, text);
+            let want = cell.compare(&lit);
+            assert_eq!(prepared.compare(&cell), want, "case {case}: {cell:?} vs {lit:?}");
+        }
+    }
+}
+
+#[test]
+fn executor_filters_like_value_compare() {
+    let schema = Schema::new(vec![
+        Column::new("Name", DataType::Text),
+        Column::new("Score", DataType::Float),
+    ]);
+    for case in 0..CASES {
+        let mut rng = case_rng(5, case);
+        let mut table = Table::new("t", schema.clone());
+        for _ in 0..rng.gen_range(1usize..24) {
+            table.push_row(vec![arb_cell(&mut rng, true), arb_cell(&mut rng, false)]);
+        }
+        let mut q = Query::select(0);
+        for _ in 0..rng.gen_range(1usize..3) {
+            let col = rng.gen_range(0usize..2);
+            q = q.and_where(col, CmpOp::ALL[rng.gen_range(0usize..6)], arb_literal(&mut rng));
+        }
+        let holds = |cell: &Value, op: CmpOp, lit: &Literal| match cell.compare(lit) {
+            None => false,
+            Some(ord) => match op {
+                CmpOp::Eq => ord.is_eq(),
+                CmpOp::Ne => ord.is_ne(),
+                CmpOp::Gt => ord.is_gt(),
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Ge => ord.is_ge(),
+                CmpOp::Le => ord.is_le(),
+            },
+        };
+        let expected: Vec<Value> = (0..table.num_rows())
+            .filter(|&r| q.conds.iter().all(|c| holds(table.cell(r, c.col), c.op, &c.value)))
+            .map(|r| table.cell(r, 0).clone())
+            .collect();
+        let got = execute(&table, &q).expect("in-range columns execute");
+        assert_eq!(got.values, expected, "case {case}: {q:?}");
     }
 }
